@@ -1,20 +1,19 @@
 //! Component benchmarks: the cost of the framework's building blocks.
 //!
 //! These measure the simulator substrate (disk service, elevator, cache)
-//! and the compiler kernels (slack analysis, reuse factor, scheduling) at
-//! controlled sizes, so regressions in the hot paths are visible without
-//! running whole experiments.
+//! and the engine at controlled sizes, so regressions in the hot paths are
+//! visible without running whole experiments. The compiler's cost is
+//! measured by `repro perf` (its `"compile"` entry).
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
 use sdds_compiler::ir::{IoDirection, Program};
-use sdds_compiler::reuse::{GroupState, WeightFn};
-use sdds_compiler::{analyze_slacks, SchedulerConfig, Signature, SlotGranularity};
+use sdds_compiler::{analyze_slacks, SchedulerConfig, SlotGranularity};
 use sdds_disk::service::service_timing;
 use sdds_disk::{Disk, DiskParams, DiskRequest, RequestKind};
 use sdds_power::{PolicyKind, PoweredArray};
-use sdds_storage::{FileId, LruCache, NodeSet, StripingLayout};
+use sdds_storage::{FileId, LruCache, StripingLayout};
 use simkit::{SimDuration, SimTime};
 
 /// A synthetic streaming program sized by `procs` and `blocks`.
@@ -107,46 +106,6 @@ fn bench_storage(c: &mut Criterion) {
     });
 }
 
-fn bench_compiler(c: &mut Criterion) {
-    // Reuse-factor computation (the scheduler's inner loop).
-    c.bench_function("compiler/reuse_factor", |b| {
-        let mut state = GroupState::new(8, 2_000, 8);
-        let sig = Signature::new(NodeSet::from_nodes([1, 2]), 8);
-        for s in 0..2_000 {
-            if s % 3 == 0 {
-                state.place(s % 8, s as u32, 1, &sig);
-            }
-        }
-        b.iter(|| {
-            let mut acc = 0.0;
-            for t in 100..1_100 {
-                acc += state.reuse_factor(&sig, t, 1, 20, &WeightFn::Linear);
-            }
-            black_box(acc)
-        })
-    });
-
-    for (procs, blocks) in [(4usize, 64i64), (8, 128)] {
-        let program = scan_program(procs, blocks);
-        let trace = program.trace(SlotGranularity::unit()).unwrap();
-        let layout = StripingLayout::paper_defaults();
-        c.bench_with_input(
-            BenchmarkId::new("compiler/analyze_slacks", format!("{procs}x{blocks}")),
-            &trace,
-            |b, trace| b.iter(|| black_box(analyze_slacks(trace, &layout).unwrap().len())),
-        );
-        let accesses = analyze_slacks(&trace, &layout).unwrap();
-        c.bench_with_input(
-            BenchmarkId::new("compiler/schedule", format!("{procs}x{blocks}")),
-            &(&accesses, &trace),
-            |b, (accesses, trace)| {
-                let cfg = SchedulerConfig::paper_defaults();
-                b.iter(|| black_box(cfg.schedule(accesses, trace).unwrap().scheduled_count()))
-            },
-        );
-    }
-}
-
 fn bench_engine(c: &mut Criterion) {
     use sdds_runtime::{CompiledPlan, Engine, EngineConfig};
     use sdds_storage::StorageConfig;
@@ -196,6 +155,6 @@ fn bench_engine(c: &mut Criterion) {
 criterion_group! {
     name = kernels;
     config = Criterion::default().sample_size(20);
-    targets = bench_disk, bench_storage, bench_compiler, bench_engine
+    targets = bench_disk, bench_storage, bench_engine
 }
 criterion_main!(kernels);

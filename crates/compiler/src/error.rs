@@ -56,6 +56,21 @@ pub enum CompileError {
         /// The duplicated index.
         index: usize,
     },
+    /// An access contradicts itself or the other accesses: its slack
+    /// begins after it ends, or its signature ranges over a different
+    /// number of I/O nodes than the first access's.
+    MalformedAccess {
+        /// Index of the offending access.
+        index: usize,
+        /// The offending field, e.g. `"begin"`.
+        field: &'static str,
+        /// The rejected value.
+        value: u64,
+        /// How the value must relate to `limit`.
+        constraint: &'static str,
+        /// The value the constraint refers to.
+        limit: u64,
+    },
 }
 
 impl std::fmt::Display for CompileError {
@@ -90,6 +105,16 @@ impl std::fmt::Display for CompileError {
             CompileError::DuplicateAccessIndex { index } => {
                 write!(f, "duplicate access index {index}")
             }
+            CompileError::MalformedAccess {
+                index,
+                field,
+                value,
+                constraint,
+                limit,
+            } => write!(
+                f,
+                "access {index}: `{field}` must be {constraint} {limit}, got {value}"
+            ),
         }
     }
 }

@@ -14,6 +14,8 @@
 //! with `1/d := 2` when the distance is zero, and weight index `k` the
 //! distance of `u` from the occupied span `[t, t + l − 1]`.
 
+use sdds_storage::NodeSet;
+
 use crate::signature::Signature;
 
 /// The weight function σ of Eq. 3.
@@ -143,6 +145,14 @@ impl GroupState {
     /// The reuse factor `R_t` of Eq. 2 for placing `sig` (length `length`)
     /// at slot `t`, with vertical reuse range `delta` and weights
     /// `weights`.
+    ///
+    /// This is the plain term-by-term sum, kept as the reference that
+    /// [`ReuseScorer`] is tested against.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `sig` ranges over a different node count than the state,
+    /// or for a `Table` of weights shorter than `delta + 1`.
     pub fn reuse_factor(
         &self,
         sig: &Signature,
@@ -151,72 +161,22 @@ impl GroupState {
         delta: u32,
         weights: &WeightFn,
     ) -> f64 {
-        let lo = (t as i64 - delta as i64).max(0) as u32;
-        let hi = (t as i64 + length as i64 - 1 + delta as i64).min(self.total_slots as i64 - 1);
-        let len = (hi - lo as i64 + 1).max(0) as usize;
-        let mut memo = vec![f64::NAN; len];
-        let wtab = weights.table_for(delta);
-        self.reuse_factor_memo(sig, t, length, delta, &wtab, lo, &mut memo)
-    }
-
-    /// [`GroupState::reuse_factor`] with the per-slot inverse distances
-    /// memoized in `memo` (indexed by `slot - memo_lo`; `NAN` marks a slot
-    /// not yet computed) and the weights pretabulated in `wtab` (built by
-    /// [`WeightFn::table_for`]). Candidate windows for one access overlap
-    /// heavily, and the group signatures don't change between candidate
-    /// evaluations, so the signature distance for each slot only needs
-    /// computing once per access. Every term and the summation order match
-    /// the plain version exactly, so the result is bit-for-bit identical;
-    /// the loop is merely split into its three weight regimes (leading
-    /// flank, occupied span, trailing flank) to keep the offset arithmetic
-    /// and table lookups branch-free.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `memo` does not cover `[t − delta, t + length − 1 + delta]`
-    /// (clipped to the slot range) relative to `memo_lo`, or if `wtab` has
-    /// fewer than `delta + 1` entries.
-    #[allow(clippy::too_many_arguments)] // mirrors `reuse_factor` plus the two memo handles
-    pub fn reuse_factor_memo(
-        &self,
-        sig: &Signature,
-        t: u32,
-        length: u32,
-        delta: u32,
-        wtab: &[f64],
-        memo_lo: u32,
-        memo: &mut [f64],
-    ) -> f64 {
-        let span_start = t as i64;
-        let span_end = t as i64 + length as i64 - 1;
-        let lo = (span_start - delta as i64).max(0);
-        let hi = (span_end + delta as i64).min(self.total_slots as i64 - 1);
-        let group = &self.group;
-        let mut inv_at = |u: i64| -> f64 {
-            let slot = &mut memo[(u - memo_lo as i64) as usize];
-            if slot.is_nan() {
-                let d = sig.distance(&group[u as usize]);
-                *slot = if d == 0 { 2.0 } else { 1.0 / d as f64 };
-            }
-            *slot
-        };
+        let span_start = i64::from(t);
+        let span_end = span_start + i64::from(length) - 1;
+        let lo = (span_start - i64::from(delta)).max(0);
+        let hi = (span_end + i64::from(delta)).min(i64::from(self.total_slots) - 1);
         let mut r = 0.0;
-        let mut u = lo;
-        // Leading flank: σ(span_start − u).
-        while u <= hi && u < span_start {
-            r += wtab[(span_start - u) as usize] * inv_at(u);
-            u += 1;
-        }
-        // Occupied span: σ(0).
-        let w0 = wtab[0];
-        while u <= hi && u <= span_end {
-            r += w0 * inv_at(u);
-            u += 1;
-        }
-        // Trailing flank: σ(u − span_end).
-        while u <= hi {
-            r += wtab[(u - span_end) as usize] * inv_at(u);
-            u += 1;
+        for u in lo..=hi {
+            let k = if u < span_start {
+                span_start - u
+            } else if u > span_end {
+                u - span_end
+            } else {
+                0
+            };
+            let d = sig.distance(&self.group[u as usize]);
+            let inv = if d == 0 { 2.0 } else { 1.0 / d as f64 };
+            r += weights.weight(k as u32, delta) * inv;
         }
         r
     }
@@ -258,10 +218,134 @@ impl GroupState {
     }
 }
 
+/// Candidates scored per batch by [`ReuseScorer::score`].
+const BATCH: usize = 4;
+
+/// Largest possible signature distance: `n + |g ⊕ G| ≤ 2n` for `n` nodes.
+const MAX_DISTANCE: usize = 2 * NodeSet::MAX_NODES;
+
+/// Scores many candidate slots of one access at once, each bit-for-bit
+/// equal to [`GroupState::reuse_factor`].
+///
+/// One scorer serves a whole scheduling pass: it holds σ and `1/d` for
+/// every possible signature distance `d`. For each access,
+/// [`ReuseScorer::score`] builds the access's inverse-distance row once,
+/// padded with `+0.0` past both ends of the slot range so that clipped
+/// windows need no branch, then scores the candidates four at a time with
+/// one accumulator per candidate. The candidates' sums interleave, which
+/// breaks the single dependent chain of additions, but each sum still
+/// starts at `0.0` and adds its terms in ascending-slot order with the
+/// same roundings as the reference, so every `R_t` keeps its bits. The
+/// padding cannot change a sum: a padded term is `σ(k) · +0.0`, which is
+/// `±0.0` for finite weights (as [`SchedulerConfig::validate`] requires);
+/// a sum that starts at `+0.0` is never `-0.0`, and adding either zero to
+/// any other value leaves it unchanged. Prefix sums, fused multiply-adds
+/// or tree reductions would round differently, so they are not used.
+///
+/// [`SchedulerConfig::validate`]: crate::SchedulerConfig::validate
+#[derive(Debug, Clone)]
+pub struct ReuseScorer {
+    delta: u32,
+    /// `σ(k)` for `k = 0..=δ`.
+    sigma: Vec<f64>,
+    /// `1/d` for `d = 0..=MAX_DISTANCE`, with `1/0 := 2`.
+    inv: Vec<f64>,
+    /// σ at each position of one candidate's window `[t − δ, t + l − 1 + δ]`.
+    window: Vec<f64>,
+    /// Inverse distances from the first candidate's window start to the
+    /// last candidate's window end, `+0.0` outside the slot range.
+    row: Vec<f64>,
+}
+
+impl ReuseScorer {
+    /// A scorer for vertical reuse range `delta` and weights `weights`.
+    ///
+    /// # Panics
+    ///
+    /// Panics for a `Table` of weights shorter than `delta + 1`.
+    pub fn new(delta: u32, weights: &WeightFn) -> Self {
+        ReuseScorer {
+            delta,
+            sigma: weights.table_for(delta),
+            inv: (0..=MAX_DISTANCE)
+                .map(|d| if d == 0 { 2.0 } else { 1.0 / d as f64 })
+                .collect(),
+            window: Vec::new(),
+            row: Vec::new(),
+        }
+    }
+
+    /// Replaces `out` with `R_t` for each slot `t` of `candidates`, in
+    /// order, for an access with signature `sig` and length `length`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `sig` ranges over a different node count than `state`.
+    pub fn score(
+        &mut self,
+        state: &GroupState,
+        sig: &Signature,
+        length: u32,
+        candidates: &[u32],
+        out: &mut Vec<f64>,
+    ) {
+        out.clear();
+        let (Some(&first), Some(&last)) = (candidates.iter().min(), candidates.iter().max()) else {
+            return;
+        };
+        let delta = self.delta as usize;
+        let sigma = &self.sigma;
+        self.window.clear();
+        self.window.extend((1..=delta).rev().map(|k| sigma[k]));
+        self.window
+            .extend(std::iter::repeat_n(sigma[0], length as usize));
+        self.window.extend((1..=delta).map(|k| sigma[k]));
+
+        let row_start = i64::from(first) - i64::from(self.delta);
+        let row_len = (last - first) as usize + self.window.len();
+        let total = i64::from(state.total_slots);
+        let lo = row_start.clamp(0, total) as usize;
+        let hi = (row_start + row_len as i64).clamp(0, total) as usize;
+        let inv = &self.inv;
+        self.row.clear();
+        self.row
+            .resize((-row_start).clamp(0, row_len as i64) as usize, 0.0);
+        self.row.extend(
+            state.group[lo..hi]
+                .iter()
+                .map(|group| inv[sig.distance(group)]),
+        );
+        self.row.resize(row_len, 0.0);
+
+        for batch in candidates.chunks(BATCH) {
+            let mut offsets = [0; BATCH];
+            for (k, offset) in offsets.iter_mut().enumerate() {
+                // Lanes past a short final batch repeat its last candidate.
+                *offset = (batch[k.min(batch.len() - 1)] - first) as usize;
+            }
+            let sums = score_batch(&self.window, &self.row, offsets);
+            out.extend_from_slice(&sums[..batch.len()]);
+        }
+    }
+}
+
+/// Lane `c` sums `window[j] · row[offsets[c] + j]` over ascending `j`,
+/// starting from `0.0`; the lanes advance together.
+fn score_batch(window: &[f64], row: &[f64], offsets: [usize; BATCH]) -> [f64; BATCH] {
+    let n = window.len();
+    let lanes = offsets.map(|o| &row[o..o + n]);
+    let mut sums = [0.0; BATCH];
+    for (j, &w) in window.iter().enumerate() {
+        for (sum, lane) in sums.iter_mut().zip(&lanes) {
+            *sum += w * lane[j];
+        }
+    }
+    sums
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sdds_storage::NodeSet;
 
     fn sig16(nodes: &[usize]) -> Signature {
         Signature::new(NodeSet::from_nodes(nodes.iter().copied()), 16)

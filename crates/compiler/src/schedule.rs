@@ -16,7 +16,7 @@
 use simkit::DetRng;
 
 use crate::error::CompileError;
-use crate::reuse::{GroupState, WeightFn};
+use crate::reuse::{GroupState, ReuseScorer, WeightFn};
 use crate::slack::SchedulableAccess;
 use crate::trace::{IoInstance, ProgramTrace};
 
@@ -77,8 +77,9 @@ impl SchedulerConfig {
     ///
     /// δ may be any value, including 0 (dropping the vertical-reuse decay
     /// entirely is a meaningful ablation); θ and the candidate cap must
-    /// leave the algorithm something to choose from; table weights must be
-    /// finite and non-negative so reuse factors stay totally ordered.
+    /// leave the algorithm something to choose from; table weights must
+    /// cover `σ(0..=δ)` and be finite and non-negative so reuse factors
+    /// stay totally ordered.
     ///
     /// # Errors
     ///
@@ -104,6 +105,13 @@ impl SchedulerConfig {
             if t.is_empty() {
                 return Err(CompileError::Weights { index: None });
             }
+            if t.len() <= self.delta as usize {
+                return Err(CompileError::Scheduler {
+                    field: "weights",
+                    value: t.len() as u64,
+                    constraint: "a table of at least delta + 1 entries",
+                });
+            }
             for (i, w) in t.iter().enumerate() {
                 if !w.is_finite() || *w < 0.0 {
                     return Err(CompileError::Weights { index: Some(i) });
@@ -124,8 +132,11 @@ impl SchedulerConfig {
     /// # Errors
     ///
     /// Returns a [`CompileError`] when a scheduler knob is out of range
-    /// (see [`SchedulerConfig::validate`]), when the trace is empty, or
-    /// when an access references a process or slot outside the trace.
+    /// (see [`SchedulerConfig::validate`]), when the trace is empty, when
+    /// an access references a process or slot outside the trace, when
+    /// the access indices are not exactly `0..accesses.len()`, or when an
+    /// access's slack begins after it ends or its signature width differs
+    /// from the first access's.
     pub fn schedule(
         &self,
         accesses: &[SchedulableAccess],
@@ -135,12 +146,14 @@ impl SchedulerConfig {
         if trace.total_slots == 0 {
             return Err(CompileError::EmptyTrace);
         }
-        let nprocs_in_trace = trace.processes.len();
+        let nprocs = trace.processes.len();
+        let width = accesses.first().map_or(1, |a| a.signature.width());
+        let mut indexed = vec![false; accesses.len()];
         for a in accesses {
-            if a.io.proc >= nprocs_in_trace {
+            if a.io.proc >= nprocs {
                 return Err(CompileError::ProcOutOfRange {
                     proc: a.io.proc,
-                    nprocs: nprocs_in_trace,
+                    nprocs,
                 });
             }
             if a.io.slot >= trace.total_slots || a.end >= trace.total_slots {
@@ -149,11 +162,43 @@ impl SchedulerConfig {
                     total_slots: trace.total_slots,
                 });
             }
+            if a.begin > a.end {
+                return Err(CompileError::MalformedAccess {
+                    index: a.index,
+                    field: "begin",
+                    value: a.begin.into(),
+                    constraint: "at most the slack end",
+                    limit: a.end.into(),
+                });
+            }
+            if a.signature.width() != width {
+                return Err(CompileError::MalformedAccess {
+                    index: a.index,
+                    field: "signature width",
+                    value: a.signature.width() as u64,
+                    constraint: "equal to the first access's width",
+                    limit: width as u64,
+                });
+            }
+            match indexed.get_mut(a.index) {
+                None => {
+                    return Err(CompileError::AccessIndexOutOfRange {
+                        index: a.index,
+                        count: accesses.len(),
+                    })
+                }
+                Some(true) => return Err(CompileError::DuplicateAccessIndex { index: a.index }),
+                Some(seen) => *seen = true,
+            }
         }
-        let width = accesses.first().map(|a| a.signature.width()).unwrap_or(1);
-        let nprocs = trace.processes.len();
         let mut state = GroupState::new(width, trace.total_slots, nprocs);
         let mut rng = DetRng::new(self.seed);
+        let mut scratch = Scratch {
+            scorer: ReuseScorer::new(self.delta, &self.weights),
+            slots: Vec::new(),
+            scores: Vec::new(),
+            ties: Vec::new(),
+        };
         let mut points: Vec<u32> = vec![0; accesses.len()];
 
         // Fixed accesses first: they anchor group signatures and θ counts.
@@ -167,7 +212,7 @@ impl SchedulerConfig {
         order.sort_by_key(|a| (a.slack_len(), a.index));
 
         for a in order {
-            let slot = self.pick_slot(a, &state, &mut rng);
+            let slot = self.pick_slot(a, &state, &mut rng, &mut scratch);
             state.place(a.io.proc, slot, a.io.length, &a.signature);
             points[a.index] = slot;
         }
@@ -181,36 +226,25 @@ impl SchedulerConfig {
     }
 
     /// Chooses the scheduling point for one access given the current state.
-    fn pick_slot(&self, a: &SchedulableAccess, state: &GroupState, rng: &mut DetRng) -> u32 {
+    fn pick_slot(
+        &self,
+        a: &SchedulableAccess,
+        state: &GroupState,
+        rng: &mut DetRng,
+        scratch: &mut Scratch,
+    ) -> u32 {
         let last_start = state.total_slots().saturating_sub(a.io.length).min(a.end);
         let hi = last_start.max(a.begin);
         let span = (hi - a.begin + 1) as usize;
-        let mut candidates: Vec<(u32, f64)> = Vec::new();
-        // Candidate windows overlap heavily within one access's slack, so
-        // the per-slot inverse distances are memoized across candidates
-        // (bitwise-identical to recomputing; see `reuse_factor_memo`).
-        let memo_lo = (a.begin as i64 - self.delta as i64).max(0) as u32;
-        let memo_hi = (hi as i64 + a.io.length as i64 - 1 + self.delta as i64)
-            .min(state.total_slots() as i64 - 1);
-        let memo_len = (memo_hi - memo_lo as i64 + 1).max(0) as usize;
-        let mut memo = vec![f64::NAN; memo_len];
-        let wtab = self.weights.table_for(self.delta);
-        let consider =
-            |state: &GroupState, candidates: &mut Vec<(u32, f64)>, memo: &mut [f64], t: u32| {
-                if state.occupied(a.io.proc, t, a.io.length) {
-                    return; // the slot is unavailable (Fig. 11 line 8).
-                }
-                let r = state.reuse_factor_memo(
-                    &a.signature,
-                    t,
-                    a.io.length,
-                    self.delta,
-                    &wtab,
-                    memo_lo,
-                    memo,
-                );
-                candidates.push((t, r));
-            };
+        let (sig, length) = (&a.signature, a.io.length);
+        let slots = &mut scratch.slots;
+        slots.clear();
+        // A slot the process already uses is unavailable (Fig. 11 line 8).
+        let mut consider = |t: u32| {
+            if !state.occupied(a.io.proc, t, length) {
+                slots.push(t);
+            }
+        };
         match self.max_candidates {
             Some(cap) if span > cap.max(2) => {
                 // Evenly sample the slack, always keeping its ends.
@@ -221,77 +255,77 @@ impl SchedulerConfig {
                     let t = a.begin + (k as f64 * step).round() as u32;
                     let t = t.min(hi);
                     if last != Some(t) {
-                        consider(state, &mut candidates, &mut memo, t);
+                        consider(t);
                         last = Some(t);
                     }
                 }
             }
-            _ => {
-                for t in a.begin..=hi {
-                    consider(state, &mut candidates, &mut memo, t);
-                }
-            }
+            _ => (a.begin..=hi).for_each(consider),
         }
-        if candidates.is_empty() {
-            // Every slot in the slack is taken by same-process accesses;
-            // fall back to the original program point.
-            return a.io.slot.min(last_start.max(a.begin));
+        // With every slot in the slack taken by same-process accesses,
+        // fall back to the original program point.
+        let fallback = a.io.slot.min(hi);
+        if slots.is_empty() {
+            return fallback;
         }
+        scratch
+            .scorer
+            .score(state, sig, length, slots, &mut scratch.scores);
+        let (scores, ties) = (scratch.scores.iter().copied(), &mut scratch.ties);
         match self.theta {
-            None => pick_max_reuse(&candidates, rng),
+            None => best_slots(slots, scores, ties, |_| true),
             Some(theta) => {
-                // Check slots in non-increasing reuse order until one
-                // satisfies θ at every covered iteration. Reuse factors
-                // are finite (validated weights), so total_cmp orders
-                // them exactly as partial_cmp would.
-                let mut sorted = candidates.clone();
-                sorted.sort_by(|x, y| y.1.total_cmp(&x.1));
-                for &(t, best_r) in &sorted {
-                    if state.theta_ok(&a.signature, t, a.io.length, theta) {
-                        // Collect the ties at this reuse level that also
-                        // satisfy θ, then tie-break randomly.
-                        let ties: Vec<(u32, f64)> = sorted
-                            .iter()
-                            .filter(|&&(tt, rr)| {
-                                rr == best_r && state.theta_ok(&a.signature, tt, a.io.length, theta)
-                            })
-                            .copied()
-                            .collect();
-                        return pick_max_reuse(&ties, rng);
-                    }
+                best_slots(slots, scores, ties, |t| {
+                    state.theta_ok(sig, t, length, theta)
+                });
+                if ties.is_empty() {
+                    // No slot satisfies θ: minimize the average overflow E_t.
+                    let costs = slots
+                        .iter()
+                        .map(|&t| -state.overflow_cost(sig, t, length, theta));
+                    best_slots(slots, costs, ties, |_| true);
                 }
-                // No slot satisfies θ: minimize the average overflow E_t.
-                let costed: Vec<(u32, f64)> = candidates
-                    .iter()
-                    .map(|&(t, _)| (t, -state.overflow_cost(&a.signature, t, a.io.length, theta)))
-                    .collect();
-                pick_max_reuse(&costed, rng)
             }
         }
+        // §IV-B1: "If there are multiple slots having the same reuse
+        // factor, we randomly choose one".
+        rng.choose(ties).copied().unwrap_or(fallback)
     }
 }
 
-/// Among `(slot, score)` candidates, returns a slot with the maximum
-/// score, breaking exact ties uniformly at random (§IV-B1: "If there are
-/// multiple slots having the same reuse factor, we randomly choose one").
-fn pick_max_reuse(candidates: &[(u32, f64)], rng: &mut DetRng) -> u32 {
-    let best = candidates
-        .iter()
-        .map(|&(_, r)| r)
-        .fold(f64::NEG_INFINITY, f64::max);
-    let ties: Vec<u32> = candidates
-        .iter()
-        .filter(|&&(_, r)| r == best)
-        .map(|&(t, _)| t)
-        .collect();
-    match rng.choose(&ties) {
-        Some(&t) => t,
-        None => {
-            // Callers never pass an empty candidate list; fall back to the
-            // first candidate (or slot 0) rather than abort mid-schedule.
-            debug_assert!(false, "at least one candidate");
-            candidates.first().map(|&(t, _)| t).unwrap_or(0)
+/// Buffers for one access at a time, reused across the accesses of one
+/// [`SchedulerConfig::schedule`] call.
+struct Scratch {
+    scorer: ReuseScorer,
+    /// The access's available candidate slots, ascending.
+    slots: Vec<u32>,
+    /// `R_t` for each candidate slot.
+    scores: Vec<f64>,
+    /// The candidates chosen among, in slot order.
+    ties: Vec<u32>,
+}
+
+/// Replaces `ties` with the `slots` that pass `eligible` and carry the
+/// highest score among those that do, in slot order. Scores are never NaN
+/// or `-0.0`, so the comparisons order them totally; `eligible` runs only
+/// for slots that can still tie or win.
+fn best_slots(
+    slots: &[u32],
+    scores: impl Iterator<Item = f64>,
+    ties: &mut Vec<u32>,
+    mut eligible: impl FnMut(u32) -> bool,
+) {
+    ties.clear();
+    let mut best = f64::NEG_INFINITY;
+    for (&t, r) in slots.iter().zip(scores) {
+        if r < best || !eligible(t) {
+            continue;
         }
+        if r > best {
+            best = r;
+            ties.clear();
+        }
+        ties.push(t);
     }
 }
 
@@ -716,6 +750,91 @@ mod tests {
         let (_, table) = schedule_of(&p, &SchedulerConfig::paper_defaults());
         assert!(table.moved_earlier() > 0, "reads should move into the gap");
         assert!(table.mean_advance() > 0.0);
+    }
+
+    /// A one-process trace and two movable accesses of it, with indices 0
+    /// and 1 and signatures over 8 nodes.
+    fn two_accesses() -> (ProgramTrace, Vec<SchedulableAccess>) {
+        let trace = fixture_trace(1, 8);
+        let accesses = vec![
+            fixture_access(0, 0, &[0], 0, 5, 5, 1),
+            fixture_access(1, 0, &[1], 0, 6, 6, 1),
+        ];
+        (trace, accesses)
+    }
+
+    #[test]
+    fn out_of_range_access_index_is_an_error() {
+        let (trace, mut accesses) = two_accesses();
+        accesses[1].index = 2;
+        assert_eq!(
+            SchedulerConfig::paper_defaults().schedule(&accesses, &trace),
+            Err(CompileError::AccessIndexOutOfRange { index: 2, count: 2 })
+        );
+    }
+
+    #[test]
+    fn duplicate_access_index_is_an_error() {
+        let (trace, mut accesses) = two_accesses();
+        accesses[1].index = 0;
+        assert_eq!(
+            SchedulerConfig::paper_defaults().schedule(&accesses, &trace),
+            Err(CompileError::DuplicateAccessIndex { index: 0 })
+        );
+    }
+
+    #[test]
+    fn mixed_signature_widths_are_an_error() {
+        let (trace, mut accesses) = two_accesses();
+        accesses[1].signature = crate::Signature::new(sdds_storage::NodeSet::single(1), 16);
+        assert!(matches!(
+            SchedulerConfig::paper_defaults().schedule(&accesses, &trace),
+            Err(CompileError::MalformedAccess {
+                index: 1,
+                field: "signature width",
+                value: 16,
+                limit: 8,
+                ..
+            })
+        ));
+    }
+
+    #[test]
+    fn inverted_slack_is_an_error() {
+        let (trace, mut accesses) = two_accesses();
+        for a in &mut accesses {
+            (a.begin, a.end) = (a.end, a.begin);
+        }
+        assert!(accesses.iter().all(|a| a.movable));
+        assert!(matches!(
+            SchedulerConfig::paper_defaults().schedule(&accesses, &trace),
+            Err(CompileError::MalformedAccess {
+                index: 0,
+                field: "begin",
+                value: 5,
+                limit: 0,
+                ..
+            })
+        ));
+    }
+
+    #[test]
+    fn weight_table_must_cover_delta() {
+        let cfg = SchedulerConfig {
+            delta: 4,
+            weights: WeightFn::Table(vec![1.0, 0.5, 0.25]),
+            ..SchedulerConfig::paper_defaults()
+        };
+        assert!(matches!(
+            cfg.validate(),
+            Err(CompileError::Scheduler {
+                field: "weights",
+                value: 3,
+                ..
+            })
+        ));
+        let (trace, accesses) = two_accesses();
+        assert!(cfg.schedule(&accesses, &trace).is_err());
     }
 
     #[test]

@@ -1,8 +1,10 @@
 //! Property tests for the compiler: signature metric laws, slack analysis
-//! against brute force, and scheduling invariants on random programs.
+//! against brute force, the batched reuse scorer against the reference
+//! sum, and scheduling invariants on random programs.
 
 use proptest::prelude::*;
 use sdds_compiler::ir::{IoDirection, Program};
+use sdds_compiler::reuse::{GroupState, ReuseScorer, WeightFn};
 use sdds_compiler::{analyze_slacks, SchedulerConfig, Signature, SlotGranularity};
 use sdds_storage::{FileId, NodeSet, StripingLayout};
 use simkit::SimDuration;
@@ -191,6 +193,64 @@ proptest! {
         // Grouped slots map each instance to slot/d.
         for (u, g) in unit.all_ios().zip(grouped.all_ios()) {
             prop_assert_eq!(g.slot, u.slot / d);
+        }
+    }
+}
+
+/// The signature over `width` nodes with the nodes of `bits` below it.
+fn signature_of(bits: u64, width: usize) -> Signature {
+    Signature::new(
+        NodeSet::from_nodes((0..width).filter(|&n| bits >> n & 1 == 1)),
+        width,
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The batched scorer reproduces `GroupState::reuse_factor` bit for
+    /// bit, for candidates anywhere in the slot range and within δ of
+    /// either end of it, in any order and with repeats.
+    #[test]
+    fn batched_scores_match_reference(
+        (total_slots, width, delta, length) in (1u32..80, 1usize..17, 0u32..25, 1u32..5),
+        placements in prop::collection::vec((0u32..80, 1u32..5, any::<u64>(), 0usize..3), 0..60),
+        sig_bits in (any::<u64>(), any::<u64>()),
+        table in prop::collection::vec(0.0f64..2.0, 25..26),
+        linear in any::<bool>(),
+        picks in prop::collection::vec((0u8..3, 0u32..1000), 1..50),
+    ) {
+        let mut state = GroupState::new(width, total_slots, 3);
+        for &(start, len, bits, proc) in &placements {
+            state.place(proc, start % total_slots, len, &signature_of(bits, width));
+        }
+        let weights = if linear {
+            WeightFn::Linear
+        } else {
+            WeightFn::Table(table[..=delta as usize].to_vec())
+        };
+        let candidates: Vec<u32> = picks
+            .iter()
+            .map(|&(end, x)| match end {
+                0 => x % (delta + 1) % total_slots,
+                1 => (total_slots - 1).saturating_sub(x % (delta + 1)),
+                _ => x % total_slots,
+            })
+            .collect();
+        // One scorer serves several accesses, as in a scheduling pass.
+        let mut scorer = ReuseScorer::new(delta, &weights);
+        let mut scores = Vec::new();
+        for bits in [sig_bits.0, sig_bits.1] {
+            let sig = signature_of(bits, width);
+            scorer.score(&state, &sig, length, &candidates, &mut scores);
+            prop_assert_eq!(scores.len(), candidates.len());
+            for (&t, r) in candidates.iter().zip(&scores) {
+                let expected = state.reuse_factor(&sig, t, length, delta, &weights);
+                prop_assert_eq!(
+                    r.to_bits(), expected.to_bits(),
+                    "slot {} of {}: batched {} vs reference {}", t, total_slots, r, expected
+                );
+            }
         }
     }
 }
