@@ -1,15 +1,36 @@
-//! Reporting helpers for the benchmark harness.
+//! The `repro` harness as a library.
 //!
 //! The `repro` binary (`cargo run --release -p sdds-bench --bin repro`)
-//! regenerates every table and figure of the paper; the Criterion benches
-//! under `benches/` measure the cost of the framework's building blocks.
-//! This library holds the small formatting utilities both share.
+//! regenerates every table and figure of the paper and runs the
+//! reports beyond it. It is a thin shell: it parses flags and calls one
+//! function of this library per subcommand. Every such function returns
+//! an [`Outcome`] (stdout text, files to write, stderr notes and named
+//! [`Check`]s) or a [`CommandError`], and [`emit`] turns either into
+//! output and an exit code.
+//!
+//! * [`json`] — the one ordered JSON writer behind every report;
+//! * [`outcome`] — [`Outcome`], [`Check`], [`CommandError`], [`emit`];
+//! * [`paper`] — the paper's tables and figures, with CSV series;
+//! * [`timing`] — host-time reports: `perf` and `scale`;
+//! * [`observe`] — telemetry reports: `trace` and `attrib`;
+//! * [`twins`] — twin-run reports: `faults`, `rebuild`, `fuzz`, `online`.
+//!
+//! The text renderers below format the paper's tables.
 
 #![warn(missing_docs)]
 #![cfg_attr(
     not(test),
     warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)
 )]
+
+pub mod json;
+pub mod observe;
+pub mod outcome;
+pub mod paper;
+pub mod timing;
+pub mod twins;
+
+pub use outcome::{emit, Check, CommandError, Outcome};
 
 use std::error::Error;
 

@@ -630,7 +630,9 @@ pub fn merge_events(buffers: Vec<Vec<TraceEvent>>) -> Vec<TraceEvent> {
     all
 }
 
-fn json_escape(s: &str) -> String {
+/// Escapes `s` for use inside a JSON string literal (quotes, backslashes
+/// and control characters); the surrounding quotes are not added.
+pub fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {
@@ -650,7 +652,7 @@ fn json_escape(s: &str) -> String {
 
 /// Formats a float as a JSON number, mapping non-finite values to
 /// `null` (JSON has no NaN/Infinity literals).
-fn json_f64(x: f64) -> String {
+pub fn json_f64(x: f64) -> String {
     if x.is_finite() {
         format!("{x}")
     } else {
