@@ -1,736 +1,496 @@
-//! Regenerates the paper's tables and figures.
+//! Regenerates the paper's tables and figures, and runs the reports
+//! beyond them.
 //!
 //! ```text
 //! cargo run --release -p sdds-bench --bin repro -- <experiment> [options]
-//!
-//! experiments:
-//!   table2, table3, fig12a, fig12b, fig12c, fig12d,
-//!   fig13a, fig13b, fig13c, fig13d, fig14, cache, compiler-cost,
-//!   granularity, oscillation, ablation, multiapp, headline, perf,
-//!   trace, attrib, faults, fuzz, scale, online, rebuild, all
-//!
-//! options:
-//!   --apps hf,sar,...      subset of applications (default: all six)
-//!   --procs N              client processes (default 32)
-//!   --factor F             phase-count multiplier (default 1.0)
-//!   --gap-factor F         long-gap multiplier (default 1.0)
-//!   --io-nodes N           I/O nodes in the striping layout (default 8)
-//!   --stripe-kb N          stripe size in KiB (default 64)
-//!   --cache-mb N           per-node cache capacity in MiB (default 64)
-//!   --buffer-mb N          client prefetch buffer in MiB (default 64)
-//!   --delta N              scheduler look-ahead window δ in slots
-//!   --theta N              scheduler per-slot access bound θ
-//!   --jobs N               worker threads for the experiment matrix
-//!                          (default: available parallelism; results are
-//!                          identical for every N)
-//!   --csv DIR              also write each series as DIR/<experiment>.csv
-//!   --verbose              print the full error cause chain on failure
-//!
-//! Exit codes classify failures for scripted callers: 0 success, 2 usage,
-//! 3 invalid configuration, 4 compile failure, 5 storage failure, 6 engine
-//! failure, 1 anything else (e.g. an output file that cannot be written).
-//!
-//! perf options (only meaningful with the `perf` experiment):
-//!   --repeat N             timed runs per cell (default 3)
-//!   --out FILE             write the measurements as machine-readable JSON
-//!   --check FILE           compare against a baseline JSON written by --out
-//!   --tolerance F          allowed fractional events/sec regression against
-//!                          the baseline before exiting non-zero (default 0.30)
-//!
-//! telemetry options (`trace`, and `--trace-out` also with `perf`):
-//!   --policy NAME          power policy for the traced cell: default,
-//!                          simple, prediction, history, staggered
-//!                          (trace defaults to history)
-//!   --trace-out FILE       write trace events as JSONL; a Chrome
-//!                          trace_event twin goes to FILE with its
-//!                          extension replaced by .chrome.json
-//!   --metrics-out FILE     write the metrics registry as JSON
 //! ```
 //!
-//! `trace` runs one application (the first of `--apps`) with telemetry
-//! enabled and prints the per-disk time-in-state / energy-by-state table;
-//! the table must reconcile with the run's total energy to 1e-9 J or the
-//! command exits non-zero.
+//! `repro --help` lists every subcommand and prints the flag table below:
+//! each flag's operand, default and meaning, and the subcommands that
+//! read it. A flag the chosen subcommand does not read is a usage error,
+//! as are unknown flags and bad operands. Exit codes: 0 success, 1 a
+//! failed check or an unwritable output, 2 usage, 3 invalid
+//! configuration, 4 compile, 5 storage, 6 engine failure.
 //!
-//! rebuild options (only meaningful with the `rebuild` experiment):
-//!   --scenario NAME        fault scenario shaping stragglers, bad sectors
-//!                          and crash windows: light or heavy (default light)
-//!   --seed N               placement + workload + fault seed (default 42)
-//!   --out FILE             write the report as JSON (sdds-rebuild-v1)
-//!
-//! `rebuild` runs the replicated object-store scenario three times — with
-//! straggler-aware replica routing, with primary-only reads, and as a
-//! fault-free twin — injecting a whole-disk failure and reconstructing the
-//! lost replicas onto the hot spare as rate-limited background traffic.
-//! The command exits non-zero when foreground bytes diverge from the
-//! fault-free twin, when the foreground/rebuild energy split does not
-//! reconcile with the headline joules at 1e-9, or when routing fails to
-//! improve the p99 read latency.
-//!
-//! attrib options (only meaningful with the `attrib` experiment):
-//!   --scenario NAME        also inject the fault scenario (light, heavy);
-//!                          omitted = fault-free matrix
-//!   --seed N               fault-stream seed (default 42)
-//!   --scene-scale F        scale factor of the observed sharded scene
-//!                          (default 0.25)
-//!   --shards auto|N        shard policy for the observed scene
-//!   --out FILE             write the report as machine-readable JSON
-//!                          (schema `sdds-attrib-v1`)
-//!
-//! `attrib` runs every (app, strategy, scheme) cell with telemetry on and
-//! builds the deterministic attribution report: per-disk/per-power-state
-//! energy cells that must sum to the headline joules within 1e-9, exact
-//! per-request latency decomposition (response = queue + service, queue =
-//! spin-up + wait), policy-decision counts with learner-state snapshots,
-//! regret against an offline idle-window oracle, and per-shard/per-epoch
-//! barrier-stall accounting from an observed sharded scene. The JSON
-//! report contains only simulated quantities, so two invocations are
-//! byte-identical and can be `cmp`-ed.
-//!
-//! faults options (only meaningful with the `faults` experiment):
-//!   --scenario NAME        fault scenario: light or heavy (default light)
-//!   --seed N               fault-stream seed (default 42)
-//!   --out FILE             write the fault report as machine-readable JSON
-//!                          (schema `sdds-faults-v1`)
-//!
-//! `faults` runs every selected application twice — once under the fault
-//! scenario and once fault-free — and reports injected/recovered fault
-//! counts plus the energy cost of recovery. The runs must move exactly
-//! the same bytes or the command exits 1; the JSON report is
-//! byte-deterministic for a given seed, so two invocations can be
-//! `cmp`-ed to prove reproducibility.
-//!
-//! `perf` times the *simulation phase* only: each cell is run once to warm
-//! the process-wide compilation cache, then `--repeat` further runs are
-//! timed, so the wall time measures the discrete-event engine rather than
-//! trace extraction or scheduling. Event counts are deterministic; only
-//! the seconds (and hence events/sec) vary between hosts. The report also
-//! includes a calendar-kernel microbenchmark (retarget/pop ops/sec) and
-//! the compiler's cold cost (slack analysis plus scheduling of every
-//! selected app, outside the compile cache, in accesses/sec); a `--check`
-//! baseline that carries a `"kernel"` or `"compile"` entry gates it under
-//! the same tolerance, and older baselines without one skip that gate.
-//!
-//! scale options (only meaningful with the `scale` experiment):
-//!   --scales F,F,...       scene scale factors (default 1,10,100)
-//!   --jobs-list N,N,...    worker counts per scale point (default 1,2,4,8)
-//!   --shards auto|N        shard policy for the sharded points (default auto)
-//!   --epoch-us N           epoch window in µs (default: the scene's hop latency)
-//!   --repeat N             timed runs per point, best-of (default 3)
-//!   --no-baseline          skip the single-shard baseline (and speedups)
-//!   --out FILE             write the report as JSON (schema `sdds-scale-v1`)
-//!   --digest FILE          write one jobs-invariant digest line per scale
-//!                          (schema `sdds-scale-digest-v1`) for byte comparison
-//!   --check-speedup X      exit non-zero unless the largest scale's best point
-//!                          reaches X× the single-shard baseline
-//!
-//! `scale` runs the datacenter scene (clients behind congestion-limited
-//! shared links in front of burst-buffered I/O groups, under a periodic
-//! global I/O schedule) on the sharded time-domain kernel and reports
-//! aggregate events/sec per (scale, jobs) point. Simulation metrics are
-//! bitwise identical across every `--jobs-list` entry — the command
-//! verifies this itself and exits 1 on any divergence.
-//!
-//! online options (only meaningful with the `online` experiment):
-//!   --scenes a,b           keyed scenes: zipfian, diurnal (default: both)
-//!   --modes a,b            decision layers: table, online, hybrid
-//!                          (default: all three)
-//!   --seed N               workload + policy-jitter seed (default 42)
-//!   --out FILE             write the report as machine-readable JSON
-//!                          (schema `sdds-online-v1`)
-//!
-//! `online` compares the decision layers on DBMS-style keyed workloads
-//! (zipfian hot sets, diurnal load swings) that no compile-time table can
-//! anticipate from loop bounds alone: `table` distills the compiled
-//! schedule into per-node idle forecasts, `online` learns idleness from
-//! the live stream with no compiler help, and `hybrid` starts from
-//! table-calibrated predictions and corrects online. Per scene it reports
-//! the energy/latency frontier (the set of modes no other mode beats on
-//! both energy and mean read response). The JSON report contains only
-//! simulated quantities, so two invocations with the same seed are
-//! byte-identical.
-//!
-//! fuzz options (only meaningful with the `fuzz` experiment):
-//!   --seeds N              SeededShuffle seeds per cell (default 8)
-//!
-//! `fuzz` runs every (app, scheme) cell once under Deterministic
-//! arbitration and once per SeededShuffle seed. Arbitration only permutes
-//! same-instant events, so it may move *when* work happens but never
-//! *what* work is done: bytes moved and processes finished must be
-//! identical across every seed, or the command exits 1. Timing-derived
-//! metrics (exec time, energy, hit rates) are allowed to vary.
+//! This binary only parses flags and dispatches; what each subcommand
+//! runs and checks is documented on its `sdds_bench` library function.
 
-use std::time::Instant;
+use std::path::PathBuf;
+use std::str::FromStr;
 
-use sdds::cache::CompileCache;
-use sdds::experiments as exp;
-use sdds::{SddsError, SystemConfig};
+use sdds::{OnlineMode, SddsError, SystemConfig, SystemConfigBuilder};
 use sdds_bench::timing::ScaleSweep;
-use sdds_bench::{emit, observe, paper, render_diagnostic, timing, twins};
+use sdds_bench::{emit, observe, paper, timing, twins, CommandError, Outcome};
 use sdds_power::PolicyKind;
+use sdds_runtime::ShardPolicy;
 use sdds_workloads::{App, WorkloadScale};
 
-const EXPERIMENTS: &[&str] = &[
-    "table2",
-    "table3",
-    "fig12a",
-    "fig12b",
-    "fig12c",
-    "fig12d",
-    "fig13a",
-    "fig13b",
-    "fig13c",
-    "fig13d",
-    "fig14",
-    "cache",
-    "compiler-cost",
-    "granularity",
-    "oscillation",
-    "ablation",
-    "multiapp",
-    "headline",
-    "perf",
-    "trace",
-    "attrib",
-    "faults",
-    "fuzz",
-    "scale",
-    "online",
-    "rebuild",
-    "all",
+// Subcommand groups, as bits: a flag names the groups that read it.
+const PAPER: u16 = 1;
+const PERF: u16 = 1 << 1;
+const TRACE: u16 = 1 << 2;
+const ATTRIB: u16 = 1 << 3;
+const FAULTS: u16 = 1 << 4;
+const FUZZ: u16 = 1 << 5;
+const SCALE: u16 = 1 << 6;
+const ONLINE: u16 = 1 << 7;
+const REBUILD: u16 = 1 << 8;
+const GROUPS: [&str; 9] = [
+    "paper", "perf", "trace", "attrib", "faults", "fuzz", "scale", "online", "rebuild",
+];
+/// Subcommands that simulate the paper's applications.
+const APPS: u16 = PAPER | PERF | TRACE | ATTRIB | FAULTS | FUZZ;
+/// Subcommands that build a storage system from the configuration flags.
+const SYSTEM: u16 = APPS | ONLINE;
+const ANY: u16 = (1 << GROUPS.len()) - 1;
+
+/// One row of the flag table.
+struct Flag {
+    name: &'static str,
+    /// Operand placeholder; empty for a switch.
+    operand: &'static str,
+    default: &'static str,
+    help: &'static str,
+    /// The subcommand groups that read the flag.
+    readers: u16,
+}
+
+const fn flag(
+    name: &'static str,
+    operand: &'static str,
+    default: &'static str,
+    help: &'static str,
+    readers: u16,
+) -> Flag {
+    Flag {
+        name,
+        operand,
+        default,
+        help,
+        readers,
+    }
+}
+
+#[rustfmt::skip]
+const FLAGS: &[Flag] = &[
+    flag("--apps", "LIST", "all six", "applications, e.g. hf,sar (trace runs the first)", APPS),
+    flag("--procs", "N", "32", "client processes", APPS),
+    flag("--factor", "F", "1.0", "phase-count multiplier", APPS),
+    flag("--gap-factor", "F", "1.0", "long-gap multiplier", APPS),
+    flag("--io-nodes", "N", "8", "I/O nodes in the striping layout", SYSTEM),
+    flag("--stripe-kb", "N", "64", "stripe size in KiB", SYSTEM),
+    flag("--cache-mb", "N", "64", "per-node cache capacity in MiB", SYSTEM),
+    flag("--buffer-mb", "N", "64", "client prefetch buffer in MiB", SYSTEM),
+    flag("--delta", "N", "paper", "scheduler look-ahead window in slots", SYSTEM),
+    flag("--theta", "N", "paper", "scheduler per-slot access bound", SYSTEM),
+    flag("--policy", "NAME", "default; trace/faults/fuzz: history",
+         "power policy: default, simple, prediction, history, staggered",
+         PAPER | PERF | TRACE | FAULTS | FUZZ),
+    flag("--jobs", "N", "available parallelism",
+         "worker threads; results are identical for every N", PAPER),
+    flag("--csv", "DIR", "none", "also write each series as DIR/<experiment>.csv", PAPER),
+    flag("--repeat", "N", "3", "timed runs per perf cell or scale point", PERF | SCALE),
+    flag("--out", "FILE", "none", "write the JSON report",
+         PERF | SCALE | ATTRIB | FAULTS | ONLINE | REBUILD),
+    flag("--check", "FILE", "none", "gate against a baseline written by perf --out", PERF),
+    flag("--tolerance", "F", "0.30", "allowed fractional regression under --check", PERF),
+    flag("--trace-out", "FILE", "none", "write trace events as JSONL and FILE.chrome.json",
+         TRACE | PERF),
+    flag("--metrics-out", "FILE", "none", "write the metrics registry as JSON", TRACE),
+    flag("--scenario", "NAME", "light; attrib: none", "fault scenario: light or heavy",
+         ATTRIB | FAULTS | REBUILD),
+    flag("--seed", "N", "42", "fault, workload and placement seed",
+         ATTRIB | FAULTS | ONLINE | REBUILD),
+    flag("--scene-scale", "F", "0.25", "factor of the observed sharded scene", ATTRIB),
+    flag("--shards", "auto|N", "auto", "shard policy of the sharded scene", ATTRIB | SCALE),
+    flag("--seeds", "N", "8", "SeededShuffle seeds per cell", FUZZ),
+    flag("--scenes", "LIST", "zipfian,diurnal", "keyed scenes", ONLINE),
+    flag("--modes", "LIST", "table,online,hybrid", "decision layers", ONLINE),
+    flag("--scales", "LIST", "1,10,100", "scene scale factors", SCALE),
+    flag("--jobs-list", "LIST", "1,2,4,8", "worker counts per scale point", SCALE),
+    flag("--epoch-us", "N", "hop latency", "epoch window in microseconds", SCALE),
+    flag("--no-baseline", "", "off", "skip the single-shard baseline and speedups", SCALE),
+    flag("--digest", "FILE", "none", "write one jobs-invariant digest line per scale", SCALE),
+    flag("--check-speedup", "X", "none", "require X times single-shard at the largest scale",
+         SCALE),
+    flag("--verbose", "", "off", "print the full error cause chain on failure", ANY),
+    flag("--help", "", "", "print this help", ANY),
 ];
 
-fn usage() -> String {
-    format!(
-        "usage: repro [<experiment>] [options]\n\n\
-         experiments:\n  {}\n\n\
-         options:\n\
-         \x20 --apps hf,sar,...   subset of applications (default: all six)\n\
-         \x20 --procs N           client processes (default 32)\n\
-         \x20 --factor F          phase-count multiplier (default 1.0)\n\
-         \x20 --gap-factor F      long-gap multiplier (default 1.0)\n\
-         \x20 --io-nodes N        I/O nodes in the striping layout (default 8)\n\
-         \x20 --stripe-kb N       stripe size in KiB (default 64)\n\
-         \x20 --cache-mb N        per-node cache capacity in MiB (default 64)\n\
-         \x20 --buffer-mb N       client prefetch buffer in MiB (default 64)\n\
-         \x20 --delta N           scheduler look-ahead window (slots)\n\
-         \x20 --theta N           scheduler per-slot access bound\n\
-         \x20 --jobs N            worker threads (default: available parallelism;\n\
-         \x20                     results are identical for every N)\n\
-         \x20 --csv DIR           also write each series as DIR/<experiment>.csv\n\
-         \x20 --verbose           print the full error cause chain on failure\n\n\
-         exit codes: 0 ok, 2 usage, 3 config, 4 compile, 5 storage, 6 engine,\n\
-         1 other\n\n\
-         perf options:\n\
-         \x20 --repeat N          timed runs per cell (default 3)\n\
-         \x20 --out FILE          write measurements as JSON\n\
-         \x20 --check FILE        compare events/sec against a baseline JSON\n\
-         \x20 --tolerance F       allowed fractional regression (default 0.30)\n\n\
-         faults options:\n\
-         \x20 --scenario NAME     fault scenario: light or heavy (default light)\n\
-         \x20 --seed N            fault-stream seed (default 42)\n\
-         \x20 --out FILE          write the fault report as JSON (sdds-faults-v1)\n\n\
-         attrib options:\n\
-         \x20 --scenario NAME     also inject faults (light, heavy); default none\n\
-         \x20 --seed N            fault-stream seed (default 42)\n\
-         \x20 --scene-scale F     observed sharded-scene factor (default 0.25)\n\
-         \x20 --out FILE          write the report as JSON (sdds-attrib-v1)\n\n\
-         scale options:\n\
-         \x20 --scales F,F,...    scene scale factors (default 1,10,100)\n\
-         \x20 --jobs-list N,...   worker counts per point (default 1,2,4,8)\n\
-         \x20 --shards auto|N     shard policy (default auto)\n\
-         \x20 --epoch-us N        epoch window in us (default: hop latency)\n\
-         \x20 --no-baseline       skip the single-shard baseline\n\
-         \x20 --out FILE          write the report as JSON (sdds-scale-v1)\n\
-         \x20 --digest FILE       write jobs-invariant digest lines per scale\n\
-         \x20 --check-speedup X   require X x single-shard at the largest scale\n\n\
-         rebuild options:\n\
-         \x20 --scenario NAME     fault scenario: light or heavy (default light)\n\
-         \x20 --seed N            placement + workload + fault seed (default 42)\n\
-         \x20 --out FILE          write the report as JSON (sdds-rebuild-v1)\n\n\
-         online options:\n\
-         \x20 --scenes a,b        keyed scenes: zipfian, diurnal (default: both)\n\
-         \x20 --modes a,b         decision layers: table, online, hybrid\n\
-         \x20 --seed N            workload + policy-jitter seed (default 42)\n\
-         \x20 --out FILE          write the report as JSON (sdds-online-v1)\n\n\
-         fuzz options:\n\
-         \x20 --seeds N           SeededShuffle seeds per cell (default 8)\n\n\
-         telemetry options (trace; --trace-out also works with perf):\n\
-         \x20 --policy NAME       power policy: default, simple, prediction,\n\
-         \x20                     history, staggered (trace defaults to history)\n\
-         \x20 --trace-out FILE    write events as JSONL plus a Chrome\n\
-         \x20                     trace_event twin at FILE.chrome.json\n\
-         \x20 --metrics-out FILE  write the metrics registry as JSON",
-        EXPERIMENTS.join(", ")
+/// Every flag value, after parsing. The scale flags live in `sweep`;
+/// perf reads its `repeat` and attrib its `shards` from there too.
+struct Options {
+    command: &'static str,
+    apps: Vec<App>,
+    scale: WorkloadScale,
+    /// The storage and scheduler flags, applied as they are parsed.
+    system: SystemConfigBuilder,
+    policy: Option<PolicyKind>,
+    jobs: Option<usize>,
+    csv: Option<PathBuf>,
+    out: Option<PathBuf>,
+    check: Option<PathBuf>,
+    tolerance: f64,
+    trace_out: Option<PathBuf>,
+    metrics_out: Option<PathBuf>,
+    scenario: Option<String>,
+    seed: u64,
+    scene_scale: f64,
+    seeds: u64,
+    scenes: Vec<String>,
+    modes: Vec<OnlineMode>,
+    sweep: ScaleSweep,
+    digest: Option<PathBuf>,
+    verbose: bool,
+}
+
+impl Default for Options {
+    fn default() -> Self {
+        Options {
+            command: ALL.0,
+            apps: App::all().to_vec(),
+            scale: WorkloadScale::paper(),
+            system: SystemConfig::builder(),
+            policy: None,
+            jobs: None,
+            csv: None,
+            out: None,
+            check: None,
+            tolerance: 0.30,
+            trace_out: None,
+            metrics_out: None,
+            scenario: None,
+            seed: 42,
+            scene_scale: 0.25,
+            seeds: 8,
+            scenes: twins::SCENES.map(String::from).to_vec(),
+            modes: OnlineMode::all().to_vec(),
+            sweep: ScaleSweep {
+                scales: vec![1.0, 10.0, 100.0],
+                jobs_list: vec![1, 2, 4, 8],
+                shards: ShardPolicy::Auto,
+                epoch_us: None,
+                repeat: 3,
+                baseline: true,
+                check_speedup: None,
+            },
+            digest: None,
+            verbose: false,
+        }
+    }
+}
+
+fn num<T: FromStr>(flag: &str, v: &str) -> Result<T, String> {
+    v.parse()
+        .map_err(|_| format!("invalid value `{v}` for {flag}"))
+}
+
+/// `v` when `ok(v)`, else the usage error `{flag} {must}`.
+fn require<T>(flag: &str, v: T, ok: impl Fn(&T) -> bool, must: &str) -> Result<T, String> {
+    if ok(&v) {
+        Ok(v)
+    } else {
+        Err(format!("{flag} {must}"))
+    }
+}
+
+fn at_least_one<T: FromStr + PartialOrd + From<u8>>(flag: &str, v: &str) -> Result<T, String> {
+    require(
+        flag,
+        num(flag, v)?,
+        |n| *n >= T::from(1),
+        "must be at least 1",
     )
 }
 
-/// Maps a `--policy` operand onto a default-tuned [`PolicyKind`].
-fn parse_policy(name: &str) -> PolicyKind {
-    match name {
-        "default" | "nopm" => PolicyKind::NoPm,
-        "simple" => PolicyKind::simple_spin_down_default(),
-        "prediction" | "prediction-based" => PolicyKind::predictive_spin_down_default(),
-        "history" | "history-based" => PolicyKind::history_based_default(),
-        "staggered" => PolicyKind::staggered_default(),
-        other => fail(&format!(
-            "unknown policy `{other}` (known: default, simple, prediction, history, staggered)"
-        )),
-    }
+/// Parses every comma-separated item of `v` with `item`; at least one.
+fn list<T>(
+    flag: &str,
+    v: &str,
+    item: impl Fn(&str) -> Result<T, String>,
+) -> Result<Vec<T>, String> {
+    let items = v
+        .split(',')
+        .map(|s| item(s.trim()))
+        .collect::<Result<Vec<_>, _>>()?;
+    require(flag, items, |l| !l.is_empty(), "needs at least one value")
 }
 
-fn fail(message: &str) -> ! {
-    eprintln!("repro: {message}\n\n{}", usage());
-    std::process::exit(2);
+fn known<T>(what: &str, name: &str, found: Option<T>, names: &str) -> Result<T, String> {
+    found.ok_or_else(|| format!("unknown {what} `{name}` (known: {names})"))
 }
 
-fn parse_apps(s: &str) -> Vec<App> {
-    s.split(',')
-        .map(|name| {
-            App::all()
+/// Stores one flag's operand in `o`, validating it.
+fn set(o: &mut Options, flag: &str, v: &str) -> Result<(), String> {
+    let positive = |x: &f64| x.is_finite() && *x > 0.0;
+    match flag {
+        "--apps" => {
+            let names: Vec<&str> = App::all().iter().map(|a| a.name()).collect();
+            let app = |s: &str| {
+                let found = App::all().into_iter().find(|a| a.name() == s);
+                known("application", s, found, &names.join(", "))
+            };
+            o.apps = list(flag, v, app)?;
+        }
+        "--procs" => o.scale.procs = num(flag, v)?,
+        "--factor" => o.scale.factor = num(flag, v)?,
+        "--gap-factor" => o.scale.gap_factor = num(flag, v)?,
+        "--io-nodes" => o.system = o.system.clone().io_nodes(num(flag, v)?),
+        "--stripe-kb" => o.system = o.system.clone().stripe_kb(num(flag, v)?),
+        "--cache-mb" => o.system = o.system.clone().cache_mb(num(flag, v)?),
+        "--buffer-mb" => o.system = o.system.clone().buffer_mb(num(flag, v)?),
+        "--delta" => o.system = o.system.clone().delta(num(flag, v)?),
+        "--theta" => o.system = o.system.clone().theta(Some(num(flag, v)?)),
+        "--policy" => {
+            // The default (no power management) and the paper's four
+            // strategies, by name or by name without `-based`.
+            let name = if v == "nopm" { "default" } else { v };
+            let found = [PolicyKind::NoPm]
                 .into_iter()
-                .find(|a| a.name() == name.trim())
-                .unwrap_or_else(|| {
-                    let known: Vec<&str> = App::all().iter().map(|a| a.name()).collect();
-                    fail(&format!(
-                        "unknown application `{}` (known: {})",
-                        name.trim(),
-                        known.join(", ")
-                    ))
-                })
-        })
-        .collect()
+                .chain(PolicyKind::paper_strategies())
+                .find(|k| k.name() == name || k.name().strip_suffix("-based") == Some(name));
+            let names = "default, simple, prediction, history, staggered";
+            o.policy = Some(known("policy", v, found, names)?);
+        }
+        "--jobs" => o.jobs = Some(at_least_one(flag, v)?),
+        "--csv" => o.csv = Some(PathBuf::from(v)),
+        "--repeat" => o.sweep.repeat = at_least_one(flag, v)?,
+        "--out" => o.out = Some(PathBuf::from(v)),
+        "--check" => o.check = Some(PathBuf::from(v)),
+        "--tolerance" => {
+            let in_range = |x: &f64| (0.0..1.0).contains(x);
+            o.tolerance = require(flag, num(flag, v)?, in_range, "must be in [0, 1)")?;
+        }
+        "--trace-out" => o.trace_out = Some(PathBuf::from(v)),
+        "--metrics-out" => o.metrics_out = Some(PathBuf::from(v)),
+        "--scenario" => {
+            let found = simkit::fault::FaultSpec::scenario(v, 0).map(|_| v.to_owned());
+            o.scenario = Some(known("fault scenario", v, found, "light, heavy")?);
+        }
+        "--seed" => o.seed = num(flag, v)?,
+        "--scene-scale" => {
+            o.scene_scale = require(flag, num(flag, v)?, positive, "must be a positive number")?;
+        }
+        "--shards" => {
+            o.sweep.shards = match v {
+                "auto" => ShardPolicy::Auto,
+                _ => ShardPolicy::Fixed(at_least_one(flag, v)?),
+            };
+        }
+        "--seeds" => o.seeds = at_least_one(flag, v)?,
+        "--scenes" => {
+            let scene = |s: &str| {
+                let found = twins::SCENES.contains(&s).then(|| s.to_owned());
+                known("scene", s, found, &twins::SCENES.join(", "))
+            };
+            o.scenes = list(flag, v, scene)?;
+        }
+        "--modes" => {
+            let mode = |s: &str| known("mode", s, OnlineMode::parse(s), "table, online, hybrid");
+            o.modes = list(flag, v, mode)?;
+        }
+        "--scales" => o.sweep.scales = list(flag, v, |s| num(flag, s))?,
+        "--jobs-list" => o.sweep.jobs_list = list(flag, v, |s| at_least_one(flag, s))?,
+        "--epoch-us" => o.sweep.epoch_us = Some(num(flag, v)?),
+        "--no-baseline" => o.sweep.baseline = false,
+        "--digest" => o.digest = Some(PathBuf::from(v)),
+        "--check-speedup" => {
+            let x = require(flag, num(flag, v)?, positive, "must be a positive number")?;
+            o.sweep.check_speedup = Some(x);
+        }
+        "--verbose" => o.verbose = true,
+        _ => {}
+    }
+    Ok(())
 }
 
-/// Returns the operand of flag `args[i]`, or exits with usage.
-fn operand(args: &[String], i: usize) -> &str {
-    args.get(i + 1)
-        .unwrap_or_else(|| fail(&format!("{} requires a value", args[i])))
+/// Parses `args` once: every flag through its table row, the subcommand
+/// through the dispatch table; then rejects any flag the subcommand does
+/// not read. Returns the options and the subcommand's library call.
+fn parse(args: &[String]) -> Result<(Options, Run), String> {
+    let mut o = Options::default();
+    let mut command = ALL;
+    let mut seen: Vec<&Flag> = Vec::new();
+    let mut args = args.iter();
+    while let Some(arg) = args.next() {
+        if arg.starts_with('-') {
+            let Some(flag) = FLAGS.iter().find(|f| f.name == arg) else {
+                return Err(format!("unknown option `{arg}`"));
+            };
+            let value = match flag.operand {
+                "" => "",
+                _ => args
+                    .next()
+                    .ok_or_else(|| format!("{arg} requires a value"))?,
+            };
+            set(&mut o, flag.name, value)?;
+            seen.push(flag);
+        } else {
+            let Some(&row) = COMMANDS.iter().find(|c| c.0 == arg) else {
+                return Err(format!("unknown experiment `{arg}`"));
+            };
+            command = row;
+        }
+    }
+    let (name, group, run) = command;
+    if let Some(f) = seen.iter().find(|f| f.readers & group == 0) {
+        return Err(format!(
+            "`{name}` does not read {} (read by: {})",
+            f.name,
+            readers(f.readers)
+        ));
+    }
+    o.command = name;
+    Ok((o, run))
 }
 
-fn parse_num<T: std::str::FromStr>(args: &[String], i: usize) -> T {
-    let raw = operand(args, i);
-    raw.parse().unwrap_or_else(|_| {
-        fail(&format!("invalid value `{raw}` for {}", args[i]));
-    })
+fn readers(mask: u16) -> String {
+    if mask == ANY {
+        return "every subcommand".to_owned();
+    }
+    let names: Vec<&str> = GROUPS
+        .iter()
+        .enumerate()
+        .filter(|(i, _)| mask & (1 << i) != 0)
+        .map(|(_, g)| *g)
+        .collect();
+    names.join(", ")
 }
+
+/// The help text, generated from the flag and dispatch tables.
+fn help() -> String {
+    let names = |paper: bool| {
+        let names: Vec<&str> = COMMANDS
+            .iter()
+            .filter(|c| (c.1 == PAPER) == paper)
+            .map(|c| c.0)
+            .collect();
+        let lines: Vec<String> = names.chunks(8).map(|c| c.join(", ")).collect();
+        lines.join(",\n  ")
+    };
+    let mut out = format!(
+        "usage: repro [<experiment>] [options]\n\n\
+         paper experiments (default: all):\n  {}\n\
+         beyond the paper:\n  {}\n\n\
+         options [default] (read by):\n",
+        names(true),
+        names(false)
+    );
+    for f in FLAGS {
+        let default = match f.default {
+            "" => String::new(),
+            d => format!(" [{d}]"),
+        };
+        out.push_str(&format!(
+            "  {:<22} {}{default}\n  {:<22} ({})\n",
+            format!("{} {}", f.name, f.operand),
+            f.help,
+            "",
+            readers(f.readers)
+        ));
+    }
+    out.push_str(
+        "\nexit codes: 0 ok, 1 failed check or unwritable output, 2 usage, 3 config,\n\
+         4 compile, 5 storage, 6 engine",
+    );
+    out
+}
+
+/// The validated system configuration; `default_policy` applies when
+/// `--policy` is absent.
+fn config(o: &Options, default_policy: Option<PolicyKind>) -> Result<SystemConfig, CommandError> {
+    let mut b = o.system.clone().scale(o.scale);
+    if let Some(p) = o.policy.clone().or(default_policy) {
+        b = b.policy(p);
+    }
+    Ok(b.build().map_err(SddsError::from)?)
+}
+
+/// Trace, faults and fuzz default to the history-based strategy, so their
+/// runs meet real power-state transitions.
+fn history(o: &Options) -> Result<SystemConfig, CommandError> {
+    config(o, Some(PolicyKind::history_based_default()))
+}
+
+fn experiment(o: &Options) -> Result<Outcome, CommandError> {
+    paper::experiment(o.command, &config(o, None)?, &o.apps, o.csv.as_deref())
+}
+
+type Run = fn(&Options) -> Result<Outcome, CommandError>;
+
+const ALL: (&str, u16, Run) = ("all", PAPER, |o| {
+    paper::all(&config(o, None)?, &o.apps, o.csv.as_deref(), o.verbose)
+});
+
+/// Every subcommand: its name, the group whose flags it reads, and its
+/// library call.
+#[rustfmt::skip]
+const COMMANDS: &[(&str, u16, Run)] = &[
+    ("table2", PAPER, experiment),
+    ("table3", PAPER, experiment),
+    ("fig12a", PAPER, experiment),
+    ("fig12b", PAPER, experiment),
+    ("fig12c", PAPER, experiment),
+    ("fig12d", PAPER, experiment),
+    ("fig13a", PAPER, experiment),
+    ("fig13b", PAPER, experiment),
+    ("fig13c", PAPER, experiment),
+    ("fig13d", PAPER, experiment),
+    ("fig14", PAPER, experiment),
+    ("cache", PAPER, experiment),
+    ("compiler-cost", PAPER, experiment),
+    ("granularity", PAPER, experiment),
+    ("oscillation", PAPER, experiment),
+    ("ablation", PAPER, experiment),
+    ("multiapp", PAPER, experiment),
+    ("headline", PAPER, experiment),
+    ALL,
+    ("perf", PERF, |o| {
+        let (check, out, trace) = (o.check.as_deref(), o.out.as_deref(), o.trace_out.as_deref());
+        let (repeat, tolerance) = (o.sweep.repeat, o.tolerance);
+        timing::perf(&config(o, None)?, &o.apps, repeat, tolerance, check, out, trace)
+    }),
+    ("trace", TRACE, |o| {
+        let app = o.apps.first().copied().unwrap_or(App::Sar);
+        observe::trace(&history(o)?, app, o.trace_out.as_deref(), o.metrics_out.as_deref())
+    }),
+    ("attrib", ATTRIB, |o| {
+        let (scenario, out) = (o.scenario.as_deref(), o.out.as_deref());
+        let (scale, shards) = (o.scene_scale, o.sweep.shards);
+        observe::attrib(&config(o, None)?, &o.apps, scenario, o.seed, scale, shards, out)
+    }),
+    ("faults", FAULTS, |o| {
+        let scenario = o.scenario.as_deref().unwrap_or("light");
+        twins::faults(&history(o)?, &o.apps, scenario, o.seed, o.out.as_deref())
+    }),
+    ("fuzz", FUZZ, |o| twins::fuzz(&history(o)?, &o.apps, o.seeds)),
+    ("scale", SCALE, |o| timing::scale(&o.sweep, o.out.as_deref(), o.digest.as_deref())),
+    ("online", ONLINE, |o| {
+        twins::online(&config(o, None)?, &o.scenes, &o.modes, o.seed, o.out.as_deref())
+    }),
+    ("rebuild", REBUILD, |o| {
+        let scenario = o.scenario.as_deref().unwrap_or("light");
+        twins::rebuild(scenario, o.seed, o.out.as_deref())
+    }),
+];
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut experiment = "all".to_owned();
-    let mut apps: Vec<App> = App::all().to_vec();
-    let mut scale = WorkloadScale::paper();
-    let mut csv_dir: Option<std::path::PathBuf> = None;
-    let mut repeat: usize = 3;
-    let mut out_path: Option<std::path::PathBuf> = None;
-    let mut check_path: Option<std::path::PathBuf> = None;
-    let mut tolerance: f64 = 0.30;
-    let mut io_nodes: Option<usize> = None;
-    let mut stripe_kb: Option<u64> = None;
-    let mut cache_mb: Option<u64> = None;
-    let mut buffer_mb: Option<u64> = None;
-    let mut delta: Option<u32> = None;
-    let mut theta: Option<u16> = None;
-    let mut policy: Option<PolicyKind> = None;
-    let mut trace_out: Option<std::path::PathBuf> = None;
-    let mut metrics_out: Option<std::path::PathBuf> = None;
-    let mut scenario = "light".to_owned();
-    let mut scenario_explicit = false;
-    let mut scene_scale: f64 = 0.25;
-    let mut fault_seed: u64 = 42;
-    let mut fuzz_seeds: u64 = 8;
-    let mut online_scenes: Vec<String> = vec!["zipfian".to_owned(), "diurnal".to_owned()];
-    let mut online_modes: Vec<sdds::OnlineMode> = sdds::OnlineMode::all().to_vec();
-    let mut verbose = false;
-    let mut scales: Vec<f64> = vec![1.0, 10.0, 100.0];
-    let mut jobs_list: Vec<usize> = vec![1, 2, 4, 8];
-    let mut shards = sdds_runtime::ShardPolicy::Auto;
-    let mut epoch_us: Option<u64> = None;
-    let mut digest_path: Option<std::path::PathBuf> = None;
-    let mut check_speedup: Option<f64> = None;
-    let mut scale_baseline = true;
-
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--repeat" => {
-                repeat = parse_num(&args, i);
-                if repeat == 0 {
-                    fail("--repeat must be at least 1");
-                }
-                i += 2;
-            }
-            "--out" => {
-                out_path = Some(std::path::PathBuf::from(operand(&args, i)));
-                i += 2;
-            }
-            "--check" => {
-                check_path = Some(std::path::PathBuf::from(operand(&args, i)));
-                i += 2;
-            }
-            "--tolerance" => {
-                tolerance = parse_num(&args, i);
-                if !(0.0..1.0).contains(&tolerance) {
-                    fail("--tolerance must be in [0, 1)");
-                }
-                i += 2;
-            }
-            "--help" | "-h" => {
-                println!("{}", usage());
-                return;
-            }
-            "--apps" => {
-                apps = parse_apps(operand(&args, i));
-                i += 2;
-            }
-            "--procs" => {
-                scale.procs = parse_num(&args, i);
-                i += 2;
-            }
-            "--factor" => {
-                scale.factor = parse_num(&args, i);
-                i += 2;
-            }
-            "--gap-factor" => {
-                scale.gap_factor = parse_num(&args, i);
-                i += 2;
-            }
-            "--io-nodes" => {
-                io_nodes = Some(parse_num(&args, i));
-                i += 2;
-            }
-            "--stripe-kb" => {
-                stripe_kb = Some(parse_num(&args, i));
-                i += 2;
-            }
-            "--cache-mb" => {
-                cache_mb = Some(parse_num(&args, i));
-                i += 2;
-            }
-            "--buffer-mb" => {
-                buffer_mb = Some(parse_num(&args, i));
-                i += 2;
-            }
-            "--delta" => {
-                delta = Some(parse_num(&args, i));
-                i += 2;
-            }
-            "--theta" => {
-                theta = Some(parse_num(&args, i));
-                i += 2;
-            }
-            "--policy" => {
-                policy = Some(parse_policy(operand(&args, i)));
-                i += 2;
-            }
-            "--trace-out" => {
-                trace_out = Some(std::path::PathBuf::from(operand(&args, i)));
-                i += 2;
-            }
-            "--metrics-out" => {
-                metrics_out = Some(std::path::PathBuf::from(operand(&args, i)));
-                i += 2;
-            }
-            "--scenario" => {
-                scenario = operand(&args, i).to_owned();
-                scenario_explicit = true;
-                i += 2;
-            }
-            "--scene-scale" => {
-                scene_scale = parse_num(&args, i);
-                if !scene_scale.is_finite() || scene_scale <= 0.0 {
-                    fail("--scene-scale must be a positive number");
-                }
-                i += 2;
-            }
-            "--seed" => {
-                fault_seed = parse_num(&args, i);
-                i += 2;
-            }
-            "--seeds" => {
-                fuzz_seeds = parse_num(&args, i);
-                if fuzz_seeds == 0 {
-                    fail("--seeds must be at least 1");
-                }
-                i += 2;
-            }
-            "--scenes" => {
-                online_scenes = operand(&args, i)
-                    .split(',')
-                    .map(|s| s.trim().to_owned())
-                    .collect();
-                if online_scenes.is_empty() {
-                    fail("--scenes needs at least one scene");
-                }
-                i += 2;
-            }
-            "--modes" => {
-                online_modes = operand(&args, i)
-                    .split(',')
-                    .map(|s| {
-                        sdds::OnlineMode::parse(s.trim()).unwrap_or_else(|| {
-                            fail(&format!(
-                                "unknown mode `{}` (known: table, online, hybrid)",
-                                s.trim()
-                            ))
-                        })
-                    })
-                    .collect();
-                if online_modes.is_empty() {
-                    fail("--modes needs at least one mode");
-                }
-                i += 2;
-            }
-            "--verbose" => {
-                verbose = true;
-                i += 1;
-            }
-            "--scales" => {
-                let raw = operand(&args, i);
-                scales = raw
-                    .split(',')
-                    .map(|s| {
-                        s.trim()
-                            .parse()
-                            .unwrap_or_else(|_| fail(&format!("invalid scale `{s}` in --scales")))
-                    })
-                    .collect();
-                if scales.is_empty() {
-                    fail("--scales needs at least one factor");
-                }
-                i += 2;
-            }
-            "--jobs-list" => {
-                let raw = operand(&args, i);
-                jobs_list = raw
-                    .split(',')
-                    .map(|s| {
-                        let n: usize = s.trim().parse().unwrap_or_else(|_| {
-                            fail(&format!("invalid worker count `{s}` in --jobs-list"))
-                        });
-                        if n == 0 {
-                            fail("--jobs-list entries must be at least 1");
-                        }
-                        n
-                    })
-                    .collect();
-                if jobs_list.is_empty() {
-                    fail("--jobs-list needs at least one worker count");
-                }
-                i += 2;
-            }
-            "--shards" => {
-                let raw = operand(&args, i);
-                shards = if raw == "auto" {
-                    sdds_runtime::ShardPolicy::Auto
-                } else {
-                    let n: usize = raw.parse().unwrap_or_else(|_| {
-                        fail(&format!("--shards takes `auto` or a count, got `{raw}`"))
-                    });
-                    if n == 0 {
-                        fail("--shards count must be at least 1");
-                    }
-                    sdds_runtime::ShardPolicy::Fixed(n)
-                };
-                i += 2;
-            }
-            "--epoch-us" => {
-                epoch_us = Some(parse_num(&args, i));
-                i += 2;
-            }
-            "--digest" => {
-                digest_path = Some(std::path::PathBuf::from(operand(&args, i)));
-                i += 2;
-            }
-            "--check-speedup" => {
-                let x: f64 = parse_num(&args, i);
-                if !x.is_finite() || x <= 0.0 {
-                    fail("--check-speedup must be a positive number");
-                }
-                check_speedup = Some(x);
-                i += 2;
-            }
-            "--no-baseline" => {
-                scale_baseline = false;
-                i += 1;
-            }
-            "--jobs" => {
-                let jobs: usize = parse_num(&args, i);
-                if jobs == 0 {
-                    fail("--jobs must be at least 1");
-                }
+    if args.iter().any(|a| a == "--help" || a == "-h") {
+        println!("{}", help());
+        return;
+    }
+    let code = match parse(&args) {
+        Ok((o, run)) => {
+            if let Some(jobs) = o.jobs {
                 simkit::pool::set_jobs(jobs);
-                i += 2;
             }
-            "--csv" => {
-                let dir = std::path::PathBuf::from(operand(&args, i));
-                if let Err(e) = std::fs::create_dir_all(&dir) {
-                    fail(&format!(
-                        "cannot create --csv directory {}: {e}",
-                        dir.display()
-                    ));
-                }
-                csv_dir = Some(dir);
-                i += 2;
-            }
-            flag if flag.starts_with('-') => {
-                fail(&format!("unknown option `{flag}`"));
-            }
-            name => {
-                if !EXPERIMENTS.contains(&name) {
-                    fail(&format!("unknown experiment `{name}`"));
-                }
-                experiment = name.to_owned();
-                i += 1;
-            }
+            emit(run(&o), o.verbose)
         }
-    }
-
-    // Validate the full configuration up front: every knob the flags can
-    // set goes through the builder, so a bad combination is rejected here
-    // — with the config exit code — before any experiment runs.
-    let mut builder = SystemConfig::builder().scale(scale);
-    if let Some(n) = io_nodes {
-        builder = builder.io_nodes(n);
-    }
-    if let Some(kb) = stripe_kb {
-        builder = builder.stripe_kb(kb);
-    }
-    if let Some(mb) = cache_mb {
-        builder = builder.cache_mb(mb);
-    }
-    if let Some(mb) = buffer_mb {
-        builder = builder.buffer_mb(mb);
-    }
-    if let Some(d) = delta {
-        builder = builder.delta(d);
-    }
-    if let Some(p) = policy.clone() {
-        builder = builder.policy(p);
-    }
-    builder = builder.theta(theta.or(SystemConfig::paper_defaults().scheduler.theta));
-    let base = match builder.build() {
-        Ok(cfg) => cfg,
-        Err(e) => {
-            let e = SddsError::from(e);
-            eprintln!("{}", render_diagnostic(&e, verbose));
-            std::process::exit(e.exit_code());
+        Err(usage) => {
+            let e = CommandError::new(2, format!("{usage} (see `repro --help`)"));
+            emit(Err(e), false)
         }
-    };
-
-    // Trace, faults and fuzz default to the history-based strategy so
-    // their runs interact with real power-state transitions; --policy
-    // overrides.
-    let history = || match policy {
-        Some(_) => base.clone(),
-        None => base.with_policy(PolicyKind::history_based_default()),
-    };
-    let out = out_path.as_deref();
-    let code = match experiment.as_str() {
-        "scale" => {
-            let sweep = ScaleSweep {
-                scales,
-                jobs_list,
-                shards,
-                epoch_us,
-                repeat,
-                baseline: scale_baseline,
-                check_speedup,
-            };
-            emit(timing::scale(&sweep, out, digest_path.as_deref()), verbose)
-        }
-        "perf" => emit(
-            timing::perf(
-                &base,
-                &apps,
-                repeat,
-                tolerance,
-                check_path.as_deref(),
-                out,
-                trace_out.as_deref(),
-            ),
-            verbose,
-        ),
-        "trace" => {
-            let app = apps.first().copied().unwrap_or(App::Sar);
-            let result = observe::trace(
-                &history(),
-                app,
-                trace_out.as_deref(),
-                metrics_out.as_deref(),
-            );
-            emit(result, verbose)
-        }
-        "attrib" => emit(
-            observe::attrib(
-                &base,
-                &apps,
-                scenario_explicit.then_some(scenario.as_str()),
-                fault_seed,
-                scene_scale,
-                shards,
-                out,
-            ),
-            verbose,
-        ),
-        "faults" => emit(
-            twins::faults(&history(), &apps, &scenario, fault_seed, out),
-            verbose,
-        ),
-        "rebuild" => emit(twins::rebuild(&scenario, fault_seed, out), verbose),
-        "online" => emit(
-            twins::online(&base, &online_scenes, &online_modes, fault_seed, out),
-            verbose,
-        ),
-        "fuzz" => emit(twins::fuzz(&history(), &apps, fuzz_seeds), verbose),
-        "all" => {
-            let started = Instant::now();
-            // Continue on error: a failing experiment reports and the rest
-            // of the suite still runs; the process exits with the most
-            // severe class.
-            let mut failed: Vec<(&str, i32)> = Vec::new();
-            for name in paper::ALL {
-                let code = emit(
-                    paper::experiment(name, &base, &apps, csv_dir.as_deref()),
-                    verbose,
-                );
-                if code != 0 {
-                    failed.push((name, code));
-                }
-            }
-            let cells = exp::cell_stats();
-            let cache = CompileCache::global().stats();
-            let (traces, schedules) = CompileCache::global().len();
-            eprintln!(
-                "[all took {:.1} s wall / {:.1} s busy \
-                 ({:.1} s compile + {:.1} s sim) over {} cells; \
-                 compile cache: {} distinct traces, {} distinct schedules, \
-                 {} hits / {} misses]",
-                started.elapsed().as_secs_f64(),
-                cells.busy_seconds,
-                cells.compile_seconds,
-                cells.sim_seconds,
-                cells.cells,
-                traces,
-                schedules,
-                cache.trace_hits + cache.schedule_hits,
-                cache.trace_misses + cache.schedule_misses,
-            );
-            if !failed.is_empty() {
-                let names: Vec<&str> = failed.iter().map(|(n, _)| *n).collect();
-                eprintln!(
-                    "\nrepro: {} of {} experiments failed: {}",
-                    failed.len(),
-                    paper::ALL.len(),
-                    names.join(", ")
-                );
-            }
-            failed.iter().map(|&(_, c)| c).max().unwrap_or(0)
-        }
-        name => emit(
-            paper::experiment(name, &base, &apps, csv_dir.as_deref()),
-            verbose,
-        ),
     };
     std::process::exit(code);
 }

@@ -214,23 +214,16 @@ impl From<bool> for Json {
     }
 }
 
-impl From<u64> for Json {
-    fn from(n: u64) -> Json {
-        Json::UInt(n)
-    }
+macro_rules! from_uint {
+    ($($t:ty),*) => {$(
+        impl From<$t> for Json {
+            fn from(n: $t) -> Json {
+                Json::UInt(n as u64)
+            }
+        }
+    )*};
 }
-
-impl From<u32> for Json {
-    fn from(n: u32) -> Json {
-        Json::UInt(u64::from(n))
-    }
-}
-
-impl From<usize> for Json {
-    fn from(n: usize) -> Json {
-        Json::UInt(n as u64)
-    }
-}
+from_uint!(u64, u32, usize);
 
 impl From<&str> for Json {
     fn from(s: &str) -> Json {

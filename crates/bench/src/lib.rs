@@ -34,8 +34,9 @@ pub use outcome::{emit, Check, CommandError, Outcome};
 
 use std::error::Error;
 
-use sdds::experiments::{CdfRow, EnergyRow, PerfRow, Table3Row, ThetaPoint};
+use sdds::experiments::{CdfRow, Table3Row, ThetaPoint};
 use sdds::metrics::CdfPoint;
+use sdds_workloads::App;
 
 /// Formats a percentage with one decimal.
 pub fn pct(v: f64) -> String {
@@ -100,55 +101,18 @@ pub fn render_cdf_rows(rows: &[CdfRow]) -> String {
     out
 }
 
-/// Renders Fig. 12(c)/(d): normalized energy per app and strategy.
-pub fn render_energy(rows: &[EnergyRow], averages: &[f64; 4]) -> String {
-    let mut out = String::new();
-    out.push_str("app         simple   prediction   history   staggered  (normalized energy, % of Default)\n");
-    for r in rows {
-        out.push_str(&format!(
-            "{:<11} {} {}  {} {}\n",
-            r.app.name(),
-            pct(r.normalized[0]),
-            pct(r.normalized[1]),
-            pct(r.normalized[2]),
-            pct(r.normalized[3])
-        ));
+/// Renders Fig. 12(c)/(d) and 13(a)/(b): one value per app and
+/// strategy (`what` names the quantity), then the averages.
+pub fn render_strategies(what: &str, rows: &[(App, [f64; 4])], averages: &[f64; 4]) -> String {
+    let line = |name: &str, v: &[f64; 4]| {
+        let [a, b, c, d] = v.map(pct);
+        format!("{name:<11} {a} {b}  {c} {d}\n")
+    };
+    let mut out = format!("app         simple   prediction   history   staggered  ({what})\n");
+    for (app, v) in rows {
+        out.push_str(&line(app.name(), v));
     }
-    out.push_str(&format!(
-        "{:<11} {} {}  {} {}\n",
-        "average",
-        pct(averages[0]),
-        pct(averages[1]),
-        pct(averages[2]),
-        pct(averages[3])
-    ));
-    out
-}
-
-/// Renders Fig. 13(a)/(b): performance degradation per app and strategy.
-pub fn render_perf(rows: &[PerfRow], averages: &[f64; 4]) -> String {
-    let mut out = String::new();
-    out.push_str(
-        "app         simple   prediction   history   staggered  (performance degradation, %)\n",
-    );
-    for r in rows {
-        out.push_str(&format!(
-            "{:<11} {} {}  {} {}\n",
-            r.app.name(),
-            pct(r.degradation[0]),
-            pct(r.degradation[1]),
-            pct(r.degradation[2]),
-            pct(r.degradation[3])
-        ));
-    }
-    out.push_str(&format!(
-        "{:<11} {} {}  {} {}\n",
-        "average",
-        pct(averages[0]),
-        pct(averages[1]),
-        pct(averages[2]),
-        pct(averages[3])
-    ));
+    out.push_str(&line("average", averages));
     out
 }
 
@@ -179,7 +143,6 @@ pub fn render_theta(points: &[ThetaPoint]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sdds_workloads::App;
     use simkit::SimDuration;
 
     #[test]
@@ -243,11 +206,8 @@ mod tests {
 
     #[test]
     fn energy_table_includes_average() {
-        let rows = vec![EnergyRow {
-            app: App::Sar,
-            normalized: [95.0, 90.0, 75.0, 80.0],
-        }];
-        let s = render_energy(&rows, &[95.0, 90.0, 75.0, 80.0]);
+        let rows = [(App::Sar, [95.0, 90.0, 75.0, 80.0])];
+        let s = render_strategies("normalized energy", &rows, &[95.0, 90.0, 75.0, 80.0]);
         assert!(s.contains("average"));
         assert!(s.contains("75.0%"));
     }

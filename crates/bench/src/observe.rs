@@ -62,12 +62,7 @@ pub fn trace(
     );
     outln!(
         o.stdout,
-        "{:>4} {:>4}  {:<12} {:>12} {:>14}",
-        "node",
-        "disk",
-        "state",
-        "time (s)",
-        "energy (J)"
+        "node disk  state            time (s)     energy (J)"
     );
     for d in &t.disks {
         for (i, (state, secs, joules)) in d.states.iter().enumerate() {
@@ -81,19 +76,16 @@ pub fn trace(
                 "{n:>4} {k:>4}  {state:<12} {secs:>12.3} {joules:>14.3}"
             );
         }
+        let c = &d.counters;
         outln!(
             o.stdout,
-            "{:>4} {:>4}  {:<12} {:>12} {:>14.3}   \
+            "           total                     {:>14.3}   \
              {} spin-ups, {} spin-downs, {} rpm changes, {} requests",
-            "",
-            "",
-            "total",
-            "",
             d.total_joules,
-            d.counters.spin_ups,
-            d.counters.spin_downs,
-            d.counters.rpm_changes,
-            d.counters.requests_served
+            c.spin_ups,
+            c.spin_downs,
+            c.rpm_changes,
+            c.requests_served
         );
     }
     let table_sum = t.summary_joules();
@@ -201,19 +193,7 @@ pub fn attrib(
         apps.len(),
         scenario.map_or_else(String::new, |s| format!(", faults `{s}` seed {seed}"))
     );
-    outln!(
-        o.stdout,
-        "{:<24} {:>11} {:>10} {:>8} {:>8} {:>8} {:>8} {:>9} {:>10}",
-        "cell",
-        "energy (J)",
-        "delta (J)",
-        "reqs",
-        "queue%",
-        "spinup%",
-        "svc%",
-        "decisions",
-        "regret (J)"
-    );
+    outln!(o.stdout, "cell                      energy (J)  delta (J)     reqs   queue%  spinup%     svc% decisions regret (J)");
 
     let mut cells: Vec<Obj> = Vec::new();
     for &app in apps {

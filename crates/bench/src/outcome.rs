@@ -51,11 +51,6 @@ impl Check {
         ok
     }
 
-    /// The check's name, as printed on failure.
-    pub fn name(&self) -> &'static str {
-        self.name
-    }
-
     /// True when no violation was recorded.
     pub fn passed(&self) -> bool {
         self.failures.is_empty()
@@ -131,19 +126,13 @@ impl Error for CommandError {
 
 impl From<sdds::SddsError> for CommandError {
     fn from(e: sdds::SddsError) -> CommandError {
-        CommandError {
-            code: e.exit_code(),
-            error: Box::new(e),
-        }
+        CommandError::new(e.exit_code(), e)
     }
 }
 
 impl From<sdds::ExperimentError> for CommandError {
     fn from(e: sdds::ExperimentError) -> CommandError {
-        CommandError {
-            code: e.exit_code(),
-            error: Box::new(e),
-        }
+        CommandError::new(e.exit_code(), e)
     }
 }
 
@@ -151,10 +140,7 @@ impl From<sdds::ExperimentError> for CommandError {
 /// error (exit code 3).
 impl From<sdds_runtime::RebuildError> for CommandError {
     fn from(e: sdds_runtime::RebuildError) -> CommandError {
-        CommandError {
-            code: 3,
-            error: Box::new(e),
-        }
+        CommandError::new(3, e)
     }
 }
 

@@ -12,10 +12,9 @@ use sdds::experiments as exp;
 use sdds::SystemConfig;
 use sdds_workloads::App;
 
-use crate::outcome::{CommandError, Outcome};
+use crate::outcome::{emit, CommandError, Outcome};
 use crate::{
-    outln, pct, render_cdf_rows, render_energy, render_perf, render_sweep, render_table3,
-    render_theta,
+    outln, pct, render_cdf_rows, render_strategies, render_sweep, render_table3, render_theta,
 };
 
 /// The experiments `repro all` runs, in order.
@@ -59,6 +58,10 @@ pub fn experiment(
     apps: &[App],
     csv_dir: Option<&Path>,
 ) -> Result<Outcome, CommandError> {
+    if let Some(dir) = csv_dir {
+        std::fs::create_dir_all(dir)
+            .map_err(|e| CommandError::new(1, format!("cannot create {}: {e}", dir.display())))?;
+    }
     let started = Instant::now();
     let cache_before = CompileCache::global().stats();
     let cells_before = exp::cell_stats();
@@ -75,13 +78,11 @@ pub fn experiment(
             let lines = rows
                 .iter()
                 .map(|r| {
+                    let (exec, energy) = (r.exec_minutes, r.energy_joules);
+                    let (paper_exec, paper_energy) = (r.paper_exec_minutes, r.paper_energy_joules);
                     format!(
-                        "{},{:.3},{:.1},{},{}",
-                        r.app.name(),
-                        r.exec_minutes,
-                        r.energy_joules,
-                        r.paper_exec_minutes,
-                        r.paper_energy_joules
+                        "{},{exec:.3},{energy:.1},{paper_exec},{paper_energy}",
+                        r.app.name()
                     )
                 })
                 .collect();
@@ -94,19 +95,13 @@ pub fn experiment(
             outln!(text, "Fig. 12{label} the scheme — idle-period CDF");
             let rows = exp::fig12_cdf(base, apps, scheme)?;
             text.push_str(&render_cdf_rows(&rows));
-            let lines = rows
-                .iter()
-                .flat_map(|row| {
-                    row.points.iter().map(|p| {
-                        format!(
-                            "{},{},{:.6}",
-                            row.app.name(),
-                            p.upto.as_micros(),
-                            p.fraction
-                        )
-                    })
-                })
-                .collect();
+            let mut lines = Vec::new();
+            for row in &rows {
+                for p in &row.points {
+                    let (upto, fraction) = (p.upto.as_micros(), p.fraction);
+                    lines.push(format!("{},{upto},{fraction:.6}", row.app.name()));
+                }
+            }
             csv(&mut o, csv_dir, name, "app,upto_us,fraction", lines);
         }
         "fig12c" | "fig12d" | "fig13a" | "fig13b" => {
@@ -118,27 +113,19 @@ pub fn experiment(
                 _ => "13(b): with the scheme — performance degradation",
             };
             outln!(text, "Fig. {label}");
-            let rows: Vec<(App, [f64; 4])> = if name.starts_with("fig12") {
+            let (rows, avg, what): (Vec<(App, [f64; 4])>, _, _) = if name.starts_with("fig12") {
                 let (rows, avg) = exp::fig12_energy(base, apps, scheme)?;
-                text.push_str(&render_energy(&rows, &avg));
-                rows.iter().map(|r| (r.app, r.normalized)).collect()
+                let rows = rows.iter().map(|r| (r.app, r.normalized)).collect();
+                (rows, avg, "normalized energy, % of Default")
             } else {
                 let (rows, avg) = exp::fig13_perf(base, apps, scheme)?;
-                text.push_str(&render_perf(&rows, &avg));
-                rows.iter().map(|r| (r.app, r.degradation)).collect()
+                let rows = rows.iter().map(|r| (r.app, r.degradation)).collect();
+                (rows, avg, "performance degradation, %")
             };
+            text.push_str(&render_strategies(what, &rows, &avg));
             let lines = rows
                 .iter()
-                .map(|(app, v)| {
-                    format!(
-                        "{},{:.3},{:.3},{:.3},{:.3}",
-                        app.name(),
-                        v[0],
-                        v[1],
-                        v[2],
-                        v[3]
-                    )
-                })
+                .map(|(app, [a, b, c, d])| format!("{},{a:.3},{b:.3},{c:.3},{d:.3}", app.name()))
                 .collect();
             let header = "app,simple,prediction,history,staggered";
             csv(&mut o, csv_dir, name, header, lines);
@@ -169,12 +156,8 @@ pub fn experiment(
             text.push_str(&render_theta(&pts));
             let lines = pts
                 .iter()
-                .map(|p| {
-                    format!(
-                        "{},{:.4},{:.4}",
-                        p.theta, p.energy_reduction, p.perf_improvement
-                    )
-                })
+                .map(|p| (p.theta, p.energy_reduction, p.perf_improvement))
+                .map(|(theta, energy, perf)| format!("{theta},{energy:.4},{perf:.4}"))
                 .collect();
             let header = "theta,energy_reduction_pct,perf_improvement_pct";
             csv(&mut o, csv_dir, name, header, lines);
@@ -297,4 +280,60 @@ pub fn experiment(
         cache.trace_misses + cache.schedule_misses,
     ));
     Ok(o)
+}
+
+/// Runs every experiment of [`ALL`] in order, emitting each as it
+/// finishes. A failing experiment reports and the rest still run; the
+/// result then fails with the most severe exit code among them.
+pub fn all(
+    base: &SystemConfig,
+    apps: &[App],
+    csv_dir: Option<&Path>,
+    verbose: bool,
+) -> Result<Outcome, CommandError> {
+    let started = Instant::now();
+    let mut failed: Vec<(&str, i32)> = Vec::new();
+    for name in ALL {
+        let code = emit(experiment(name, base, apps, csv_dir), verbose);
+        if code != 0 {
+            failed.push((name, code));
+        }
+    }
+    let cells = exp::cell_stats();
+    let cache = CompileCache::global().stats();
+    let (traces, schedules) = CompileCache::global().len();
+    let summary = format!(
+        "[all took {:.1} s wall / {:.1} s busy \
+         ({:.1} s compile + {:.1} s sim) over {} cells; \
+         compile cache: {} distinct traces, {} distinct schedules, \
+         {} hits / {} misses]",
+        started.elapsed().as_secs_f64(),
+        cells.busy_seconds,
+        cells.compile_seconds,
+        cells.sim_seconds,
+        cells.cells,
+        traces,
+        schedules,
+        cache.trace_hits + cache.schedule_hits,
+        cache.trace_misses + cache.schedule_misses,
+    );
+    match failed.iter().map(|&(_, code)| code).max() {
+        None => Ok(Outcome {
+            notes: vec![summary],
+            ..Outcome::default()
+        }),
+        Some(code) => {
+            let names: Vec<&str> = failed.iter().map(|&(name, _)| name).collect();
+            eprintln!("{summary}");
+            Err(CommandError::new(
+                code,
+                format!(
+                    "{} of {} experiments failed: {}",
+                    failed.len(),
+                    ALL.len(),
+                    names.join(", ")
+                ),
+            ))
+        }
+    }
 }

@@ -17,20 +17,33 @@ use crate::json::{find_number, Json, Obj};
 use crate::outcome::{Check, CommandError, Outcome};
 use crate::outln;
 
-/// One timed perf cell: an application run with or without the scheme.
-struct PerfCell {
-    name: String,
-    events: u64,
+/// A count of work done in some host seconds.
+struct Rate {
+    count: u64,
     seconds: f64,
-    events_per_sec: f64,
 }
 
-/// `{"<count key>": n, "seconds": s, "<rate key>": n/s}`.
-fn rate_json(count_key: &str, count: u64, seconds: f64, rate_key: &str, rate: f64) -> Obj {
-    Obj::inline()
-        .field(count_key, count)
-        .field("seconds", Json::fixed(seconds, 6))
-        .field(rate_key, Json::fixed(rate, 1))
+impl Rate {
+    fn per_sec(&self) -> f64 {
+        self.count as f64 / self.seconds.max(1e-9)
+    }
+
+    /// The perf table row: label, count, seconds, rate.
+    fn row(&self, label: &str) -> String {
+        format!(
+            "{label:<20} {:>14} {:>10.3} {:>14.0}",
+            self.count,
+            self.seconds,
+            self.per_sec()
+        )
+    }
+
+    /// `obj` plus `{"<count_key>": n, "seconds": s, "<rate_key>": n/s}`.
+    fn json(&self, obj: Obj, count_key: &str, rate_key: &str) -> Obj {
+        obj.field(count_key, self.count)
+            .field("seconds", Json::fixed(self.seconds, 6))
+            .field(rate_key, Json::fixed(self.per_sec(), 1))
+    }
 }
 
 /// `repro perf`: times the simulation phase of every (app, scheme) cell
@@ -59,20 +72,13 @@ pub fn perf(
     );
     outln!(
         o.stdout,
-        "{:<20} {:>14} {:>10} {:>14}",
-        "cell",
-        "events",
-        "seconds",
-        "events/sec"
+        "cell                         events    seconds     events/sec"
     );
-    let mut cells: Vec<PerfCell> = Vec::new();
+    let mut cells: Vec<(String, Rate)> = Vec::new();
     let mut last_report: Option<sdds::TelemetryReport> = None;
     for &app in apps {
         for scheme in [false, true] {
-            let cfg = base
-                .clone()
-                .with_scheme(scheme)
-                .with_telemetry(trace_out.is_some());
+            let cfg = base.with_scheme(scheme).with_telemetry(trace_out.is_some());
             let name = if scheme {
                 format!("{}+scheme", app.name())
             } else {
@@ -92,139 +98,87 @@ pub fn perf(
                     )
                 });
                 events += run.result.events;
-                if let Some(t) = run.result.telemetry.take() {
-                    last_report = Some(t);
-                }
+                last_report = run.result.telemetry.take().or(last_report);
             }
-            let seconds = started.elapsed().as_secs_f64();
-            let events_per_sec = events as f64 / seconds.max(1e-9);
-            outln!(
-                o.stdout,
-                "{name:<20} {events:>14} {seconds:>10.3} {events_per_sec:>14.0}"
-            );
-            cells.push(PerfCell {
-                name,
-                events,
-                seconds,
-                events_per_sec,
-            });
+            let rate = Rate {
+                count: events,
+                seconds: started.elapsed().as_secs_f64(),
+            };
+            outln!(o.stdout, "{}", rate.row(&name));
+            cells.push((name, rate));
         }
     }
-    let total_events: u64 = cells.iter().map(|c| c.events).sum();
-    let total_seconds: f64 = cells.iter().map(|c| c.seconds).sum();
-    let total_eps = total_events as f64 / total_seconds.max(1e-9);
-    outln!(
-        o.stdout,
-        "{:<20} {total_events:>14} {total_seconds:>10.3} {total_eps:>14.0}",
-        "TOTAL"
-    );
-    let (kernel_op_count, kernel_seconds, kernel_ops) = kernel_microbench();
-    outln!(
-        o.stdout,
-        "{:<20} {kernel_op_count:>14} {kernel_seconds:>10.3} {kernel_ops:>14.0}",
-        "kernel (calendar)"
-    );
-    let (compiled, compile_seconds, compile_aps) = compile_microbench(base, apps, repeat)?;
-    outln!(
-        o.stdout,
-        "{:<20} {compiled:>14} {compile_seconds:>10.3} {compile_aps:>14.0}",
-        "compile (accesses)"
-    );
+    let total = Rate {
+        count: cells.iter().map(|(_, r)| r.count).sum(),
+        seconds: cells.iter().map(|(_, r)| r.seconds).sum(),
+    };
+    outln!(o.stdout, "{}", total.row("TOTAL"));
+    let kernel = kernel_microbench();
+    outln!(o.stdout, "{}", kernel.row("kernel (calendar)"));
+    let compile = compile_microbench(base, apps, repeat)?;
+    outln!(o.stdout, "{}", compile.row("compile (accesses)"));
 
     if let Some(path) = out {
+        let cell = |(name, r): &(String, Rate)| {
+            r.json(
+                Obj::inline().field("name", name.as_str()),
+                "events",
+                "events_per_sec",
+            )
+        };
         let report = Obj::block()
             .field("schema", "sdds-perf-v1")
             .field("repeat", repeat)
             .field("procs", base.scale.procs)
             .field("factor", Json::float(base.scale.factor))
-            .field(
-                "cells",
-                Json::block_array(cells.iter().map(|c| {
-                    Obj::inline()
-                        .field("name", c.name.as_str())
-                        .field("events", c.events)
-                        .field("seconds", Json::fixed(c.seconds, 6))
-                        .field("events_per_sec", Json::fixed(c.events_per_sec, 1))
-                })),
-            )
-            .field(
-                "kernel",
-                rate_json(
-                    "ops",
-                    kernel_op_count,
-                    kernel_seconds,
-                    "ops_per_sec",
-                    kernel_ops,
-                ),
-            )
+            .field("cells", Json::block_array(cells.iter().map(cell)))
+            .field("kernel", kernel.json(Obj::inline(), "ops", "ops_per_sec"))
             .field(
                 "compile",
-                rate_json(
-                    "accesses",
-                    compiled,
-                    compile_seconds,
-                    "accesses_per_sec",
-                    compile_aps,
-                ),
+                compile.json(Obj::inline(), "accesses", "accesses_per_sec"),
             )
             .field(
                 "total",
-                rate_json(
-                    "events",
-                    total_events,
-                    total_seconds,
-                    "events_per_sec",
-                    total_eps,
-                ),
+                total.json(Obj::inline(), "events", "events_per_sec"),
             );
         o.files.push((path.to_path_buf(), report.document()));
     }
-
     if let Some(path) = trace_out {
         let mut telemetry = Check::new("telemetry");
-        if let Some(t) = &last_report {
-            push_trace_files(&mut o, t, path);
-        } else {
-            telemetry.require(false, || {
-                "--trace-out was given but no telemetry came back".to_owned()
-            });
+        match &last_report {
+            Some(t) => push_trace_files(&mut o, t, path),
+            None => {
+                telemetry.require(false, || "no telemetry came back".to_owned());
+            }
         }
         o.checks.push(telemetry);
     }
-
     o.checks.push(determinism);
     if let Some(path) = check {
-        let now = [
-            (
-                "kernel (calendar) ops/sec",
-                "kernel",
-                "ops_per_sec",
-                kernel_ops,
-            ),
-            (
-                "compile accesses/sec",
-                "compile",
-                "accesses_per_sec",
-                compile_aps,
-            ),
-        ];
-        let gate = gate_baseline(&mut o, path, tolerance, &cells, total_eps, &now);
+        let gate = gate_baseline(&mut o, path, tolerance, &cells, &total, [&kernel, &compile]);
         o.checks.push(gate);
     }
     Ok(o)
 }
 
+/// The microbenchmarks `--check` gates when the baseline carries them:
+/// label, report key and rate field.
+const MICRO: [(&str, &str, &str); 2] = [
+    ("kernel (calendar) ops/sec", "kernel", "ops_per_sec"),
+    ("compile accesses/sec", "compile", "accesses_per_sec"),
+];
+
 /// Compares this run against the `--check` baseline: the total
 /// events/sec always (naming every cell under its own floor when the
-/// total regresses), and each microbenchmark in `micro` when the
-/// baseline carries its entry.
+/// total regresses), and each of [`MICRO`] (this run's rates in `micro`)
+/// when the baseline carries its entry.
 fn gate_baseline(
     o: &mut Outcome,
     path: &Path,
     tolerance: f64,
-    cells: &[PerfCell],
-    total_eps: f64,
-    micro: &[(&str, &str, &str, f64)],
+    cells: &[(String, Rate)],
+    total: &Rate,
+    micro: [&Rate; 2],
 ) -> Check {
     let mut gate = Check::new("perf baseline");
     let text = match std::fs::read_to_string(path) {
@@ -238,10 +192,11 @@ fn gate_baseline(
     };
     let Some(baseline_eps) = find_number(&text, "total", None, "events_per_sec") else {
         gate.require(false, || {
-            format!("no total events_per_sec found in {}", path.display())
+            format!("no total events_per_sec in {}", path.display())
         });
         return gate;
     };
+    let total_eps = total.per_sec();
     let floor = baseline_eps * (1.0 - tolerance);
     let ratio = total_eps / baseline_eps;
     outln!(
@@ -261,22 +216,19 @@ fn gate_baseline(
             tolerance * 100.0
         )
     });
-    if !total_held {
-        for c in cells {
-            if let Some(base_eps) = find_number(&text, "name", Some(&c.name), "events_per_sec") {
-                gate.require(c.events_per_sec >= base_eps * (1.0 - tolerance), || {
-                    format!(
-                        "cell `{}` events/sec regressed {:.1}% (baseline {base_eps:.0}, \
-                         now {:.0})",
-                        c.name,
-                        (1.0 - c.events_per_sec / base_eps) * 100.0,
-                        c.events_per_sec
-                    )
-                });
-            }
-        }
+    for (name, r) in cells.iter().filter(|_| !total_held) {
+        let Some(base_eps) = find_number(&text, "name", Some(name), "events_per_sec") else {
+            continue;
+        };
+        let now = r.per_sec();
+        gate.require(now >= base_eps * (1.0 - tolerance), || {
+            format!(
+                "cell `{name}` events/sec regressed {:.1}% (baseline {base_eps:.0}, now {now:.0})",
+                (1.0 - now / base_eps) * 100.0,
+            )
+        });
     }
-    for &(label, key, field, now) in micro {
+    for ((label, key, field), rate) in MICRO.into_iter().zip(micro) {
         // Baselines written before a microbenchmark existed have no entry
         // for it: that microbenchmark is not gated until the baseline is
         // refreshed.
@@ -290,6 +242,7 @@ fn gate_baseline(
             ));
             continue;
         };
+        let now = rate.per_sec();
         let floor = baseline * (1.0 - tolerance);
         outln!(
             o.stdout,
@@ -322,8 +275,8 @@ pub(crate) fn push_trace_files(o: &mut Outcome, t: &sdds::TelemetryReport, path:
 /// retarget/pop-due workload at a slot population wider than any real
 /// configuration drives (the engine registers procs + 3 slots), so the
 /// number isolates retargeting and min-scan popping from all simulation
-/// logic. Returns (ops, seconds, ops/sec).
-fn kernel_microbench() -> (u64, f64, f64) {
+/// logic.
+fn kernel_microbench() -> Rate {
     use simkit::kernel::{ArbitrationPolicy, Calendar};
     use simkit::SimTime;
     const SLOTS: u64 = 64;
@@ -353,20 +306,20 @@ fn kernel_microbench() -> (u64, f64, f64) {
     }
     let seconds = started.elapsed().as_secs_f64();
     std::hint::black_box(sink);
-    (ops, seconds, ops as f64 / seconds.max(1e-9))
+    Rate {
+        count: ops,
+        seconds,
+    }
 }
 
 /// Times the compiler cold, outside the compile cache: slack analysis
 /// plus scheduling of every app's trace, `repeat` times each (trace
-/// extraction is not timed). Returns the accesses scheduled, the seconds
-/// spent, and accesses per second.
-fn compile_microbench(
-    base: &SystemConfig,
-    apps: &[App],
-    repeat: usize,
-) -> Result<(u64, f64, f64), SddsError> {
-    let mut accesses: u64 = 0;
-    let mut seconds = 0.0;
+/// extraction is not timed), counting the accesses scheduled.
+fn compile_microbench(base: &SystemConfig, apps: &[App], repeat: usize) -> Result<Rate, SddsError> {
+    let mut rate = Rate {
+        count: 0,
+        seconds: 0.0,
+    };
     for &app in apps {
         let compile_error = |source| SddsError::Compile {
             app: app.name().to_string(),
@@ -390,11 +343,11 @@ fn compile_microbench(
                 .scheduler
                 .schedule(&slacks, &trace)
                 .map_err(compile_error)?;
-            seconds += started.elapsed().as_secs_f64();
-            accesses += std::hint::black_box(table).scheduled_count() as u64;
+            rate.seconds += started.elapsed().as_secs_f64();
+            rate.count += std::hint::black_box(table).scheduled_count() as u64;
         }
     }
-    Ok((accesses, seconds, accesses as f64 / seconds.max(1e-9)))
+    Ok(rate)
 }
 
 /// The `repro scale` sweep: scene scale factors × worker counts.
@@ -420,26 +373,42 @@ pub struct ScaleSweep {
 struct ScalePoint {
     scale: f64,
     jobs: usize,
-    shards: usize,
-    components: usize,
-    events: u64,
-    epochs: u64,
+    result: SceneResult,
     seconds: f64,
-    events_per_sec: f64,
+    /// Speedup over the single-shard baseline, when one was timed.
     speedup: Option<f64>,
 }
 
 impl ScalePoint {
+    fn events_per_sec(&self) -> f64 {
+        self.result.events as f64 / self.seconds.max(1e-9)
+    }
+
+    fn row(&self, speedup: &str) -> String {
+        let r = &self.result;
+        format!(
+            "{:<8.2} {:>5} {:>7} {:>11} {:>10} {:>8} {:>9.3} {:>13.0} {speedup:>9}",
+            self.scale,
+            self.jobs,
+            r.shards,
+            r.components,
+            r.events,
+            r.epochs,
+            self.seconds,
+            self.events_per_sec()
+        )
+    }
+
     fn json(&self) -> Obj {
         Obj::inline()
             .field("scale", Json::fixed(self.scale, 3))
             .field("jobs", self.jobs)
-            .field("shards", self.shards)
-            .field("components", self.components)
-            .field("events", self.events)
-            .field("epochs", self.epochs)
+            .field("shards", self.result.shards)
+            .field("components", self.result.components)
+            .field("events", self.result.events)
+            .field("epochs", self.result.epochs)
             .field("seconds", Json::fixed(self.seconds, 6))
-            .field("events_per_sec", Json::fixed(self.events_per_sec, 1))
+            .field("events_per_sec", Json::fixed(self.events_per_sec(), 1))
             .maybe(
                 "speedup_vs_single_shard",
                 self.speedup.map(|s| Json::fixed(s, 2)),
@@ -455,31 +424,30 @@ fn time_scale_point(
     jobs: usize,
     repeat: usize,
     repeats: &mut Check,
-) -> Result<(SceneResult, f64), SddsError> {
+) -> Result<ScalePoint, SddsError> {
     let timed = || -> Result<(SceneResult, f64), SddsError> {
         let started = Instant::now();
         let r = sdds::run_scale(cfg, jobs)?;
         Ok((r, started.elapsed().as_secs_f64()))
     };
-    let (first, mut best) = timed()?;
+    let (result, mut seconds) = timed()?;
     for _ in 1..repeat {
         let (r, secs) = timed()?;
-        best = best.min(secs);
-        repeats.require(r.digest() == first.digest(), || {
+        seconds = seconds.min(secs);
+        repeats.require(r.digest() == result.digest(), || {
             format!(
                 "scale-{} scene at jobs={jobs} changed across repeats",
                 cfg.factor
             )
         });
     }
-    Ok((first, best))
-}
-
-fn shards_label(shards: ShardPolicy) -> Json {
-    match shards {
-        ShardPolicy::Auto => "auto".into(),
-        ShardPolicy::Fixed(n) => n.into(),
-    }
+    Ok(ScalePoint {
+        scale: cfg.factor,
+        jobs,
+        result,
+        seconds,
+        speedup: None,
+    })
 }
 
 /// `repro scale`: runs the sharded datacenter scene across the sweep and
@@ -498,28 +466,18 @@ pub fn scale(
     let mut o = Outcome::default();
     let mut equality = Check::new("digest equality");
     let mut repeats = Check::new("determinism across repeats");
-    let epoch = sweep.epoch_us.map(SimDuration::from_micros);
+    let (shards_name, shards_json): (String, Json) = match sweep.shards {
+        ShardPolicy::Auto => ("auto".to_owned(), "auto".into()),
+        ShardPolicy::Fixed(n) => (n.to_string(), n.into()),
+    };
     outln!(
         o.stdout,
-        "Sharded scene throughput (best of {} runs per point, shards={})",
-        sweep.repeat,
-        match sweep.shards {
-            ShardPolicy::Auto => "auto".to_owned(),
-            ShardPolicy::Fixed(n) => n.to_string(),
-        }
+        "Sharded scene throughput (best of {} runs per point, shards={shards_name})",
+        sweep.repeat
     );
     outln!(
         o.stdout,
-        "{:<8} {:>5} {:>7} {:>11} {:>10} {:>8} {:>9} {:>13} {:>9}",
-        "scale",
-        "jobs",
-        "shards",
-        "components",
-        "events",
-        "epochs",
-        "seconds",
-        "events/sec",
-        "speedup"
+        "scale     jobs  shards  components     events   epochs   seconds    events/sec   speedup"
     );
 
     let mut points: Vec<ScalePoint> = Vec::new();
@@ -529,36 +487,17 @@ pub fn scale(
         let cfg = sdds::ScaleSceneConfig {
             factor: scale,
             shards: sweep.shards,
-            epoch,
+            epoch: sweep.epoch_us.map(SimDuration::from_micros),
         };
         let base_eps = if sweep.baseline {
             let single = sdds::ScaleSceneConfig {
                 shards: ShardPolicy::Fixed(1),
                 ..cfg
             };
-            let (r, secs) = time_scale_point(&single, 1, sweep.repeat, &mut repeats)?;
-            let eps = r.events as f64 / secs.max(1e-9);
-            outln!(
-                o.stdout,
-                "{scale:<8.2} {:>5} {:>7} {:>11} {:>10} {:>8} {secs:>9.3} {eps:>13.0} {:>9}",
-                1,
-                1,
-                r.components,
-                r.events,
-                r.epochs,
-                "1.00x"
-            );
-            baselines.push(ScalePoint {
-                scale,
-                jobs: 1,
-                shards: 1,
-                components: r.components,
-                events: r.events,
-                epochs: r.epochs,
-                seconds: secs,
-                events_per_sec: eps,
-                speedup: None,
-            });
+            let b = time_scale_point(&single, 1, sweep.repeat, &mut repeats)?;
+            outln!(o.stdout, "{}", b.row("1.00x"));
+            let eps = b.events_per_sec();
+            baselines.push(b);
             Some(eps)
         } else {
             None
@@ -566,8 +505,8 @@ pub fn scale(
 
         let mut reference: Option<String> = None;
         for &jobs in &sweep.jobs_list {
-            let (r, secs) = time_scale_point(&cfg, jobs, sweep.repeat, &mut repeats)?;
-            let d = r.digest();
+            let mut p = time_scale_point(&cfg, jobs, sweep.repeat, &mut repeats)?;
+            let d = p.result.digest();
             match &reference {
                 Some(want) => {
                     equality.require(*want == d, || {
@@ -576,28 +515,16 @@ pub fn scale(
                 }
                 None => reference = Some(d),
             }
-            let eps = r.events as f64 / secs.max(1e-9);
-            let speedup = base_eps.map(|b| eps / b.max(1e-9));
+            p.speedup = base_eps.map(|b| p.events_per_sec() / b.max(1e-9));
             outln!(
                 o.stdout,
-                "{scale:<8.2} {jobs:>5} {:>7} {:>11} {:>10} {:>8} {secs:>9.3} {eps:>13.0} {:>9}",
-                r.shards,
-                r.components,
-                r.events,
-                r.epochs,
-                speedup.map_or_else(|| "-".to_owned(), |s| format!("{s:.2}x")),
+                "{}",
+                p.row(
+                    &p.speedup
+                        .map_or_else(|| "-".to_owned(), |s| format!("{s:.2}x"))
+                )
             );
-            points.push(ScalePoint {
-                scale,
-                jobs,
-                shards: r.shards,
-                components: r.components,
-                events: r.events,
-                epochs: r.epochs,
-                seconds: secs,
-                events_per_sec: eps,
-                speedup,
-            });
+            points.push(p);
         }
         digests.extend(reference);
     }
@@ -610,7 +537,7 @@ pub fn scale(
                 "epoch_us",
                 sweep.epoch_us.map_or_else(|| "auto".into(), Json::from),
             )
-            .field("shards", shards_label(sweep.shards))
+            .field("shards", shards_json)
             .field(
                 "baselines",
                 Json::block_array(baselines.iter().map(ScalePoint::json)),

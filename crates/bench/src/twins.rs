@@ -69,19 +69,7 @@ pub fn faults(
             if ok { "ok" } else { "FAIL" }
         )
     };
-    outln!(
-        o.stdout,
-        "{:<11} {:>9} {:>8} {:>8} {:>12} {:>10} {:>9} {:>14} {:>7}",
-        "app",
-        "injected",
-        "retried",
-        "remapped",
-        "reconstructed",
-        "redirected",
-        "deferred",
-        "energy dJ",
-        "parity"
-    );
+    outln!(o.stdout, "app          injected  retried remapped reconstructed redirected  deferred      energy dJ  parity");
     let mut rows: Vec<Obj> = Vec::new();
     let mut total = FaultCounters::default();
     let mut total_delta = 0.0;
@@ -210,13 +198,7 @@ pub fn online(
         );
         outln!(
             o.stdout,
-            "{:<8} {:<16} {:>12} {:>14} {:>10} {:>9}",
-            "mode",
-            "policy",
-            "energy (J)",
-            "read resp (s)",
-            "exec (s)",
-            "events"
+            "mode     policy             energy (J)  read resp (s)   exec (s)    events"
         );
         // (mode, energy, mean read response) per cell, for the frontier.
         let mut points: Vec<(&'static str, f64, f64)> = Vec::new();
@@ -305,12 +287,7 @@ pub fn fuzz(base: &SystemConfig, apps: &[App], seeds: u64) -> Result<Outcome, Co
     );
     outln!(
         o.stdout,
-        "{:<20} {:>14} {:>14} {:>6} {:>8}",
-        "cell",
-        "bytes_read",
-        "bytes_written",
-        "procs",
-        "verdict"
+        "cell                     bytes_read  bytes_written  procs  verdict"
     );
     for &app in apps {
         for scheme in [false, true] {
@@ -416,6 +393,11 @@ pub fn rebuild(scenario: &str, seed: u64, out: Option<&Path>) -> Result<Outcome,
     let unrouted = run_rebuild(&unrouted_params, None)?;
     let clean = run_rebuild(&clean_params, None)?;
 
+    let twins = [
+        ("routed", &routed),
+        ("unrouted", &unrouted),
+        ("fault-free", &clean),
+    ];
     let mut o = Outcome::default();
     let geometry = &routed_params.placement;
     outln!(
@@ -429,25 +411,8 @@ pub fn rebuild(scenario: &str, seed: u64, out: Option<&Path>) -> Result<Outcome,
         routed_params.fail_at.as_secs_f64(),
         routed.spare_disk.map_or(-1, i64::from),
     );
-    outln!(
-        o.stdout,
-        "{:<11} {:>6} {:>6} {:>9} {:>9} {:>9} {:>9} {:>8} {:>11} {:>9}",
-        "twin",
-        "reads",
-        "writes",
-        "p50 ms",
-        "p99 ms",
-        "p999 ms",
-        "rb MiB",
-        "done s",
-        "energy kJ",
-        "spin u/d"
-    );
-    for (name, r) in [
-        ("routed", &routed),
-        ("unrouted", &unrouted),
-        ("fault-free", &clean),
-    ] {
+    outln!(o.stdout, "twin         reads writes    p50 ms    p99 ms   p999 ms    rb MiB   done s   energy kJ  spin u/d");
+    for (name, r) in twins {
         outln!(
             o.stdout,
             "{name:<11} {:>6} {:>6} {:>9.1} {:>9.1} {:>9.1} {:>9.1} {:>8} {:>11.3} {:>9}",
@@ -477,11 +442,7 @@ pub fn rebuild(scenario: &str, seed: u64, out: Option<&Path>) -> Result<Outcome,
         || "foreground traffic diverged from the fault-free twin — rebuild lost data".to_owned(),
     );
     let mut energy = Check::new("energy reconciliation");
-    for (name, r) in [
-        ("routed", &routed),
-        ("unrouted", &unrouted),
-        ("fault-free", &clean),
-    ] {
+    for (name, r) in twins {
         energy.require(
             (r.foreground_active_j + r.rebuild_active_j - r.energy.active_j).abs() <= 1e-9,
             || {

@@ -1,5 +1,8 @@
 //! CLI contract tests: invalid configurations exit with the config exit
-//! code (3) and print the pinned one-line diagnostic; usage errors exit 2.
+//! code (3) and print the pinned one-line diagnostic; usage errors exit 2,
+//! including a flag the chosen subcommand does not read and a bad
+//! `--scenario`, `--scenes` or `--modes` value, rejected before anything
+//! runs.
 //!
 //! These run the actual `repro` binary, so they pin the full scripted
 //! interface: flag parsing, builder validation, diagnostic rendering, and
@@ -131,4 +134,64 @@ fn verbose_appends_the_cause_chain() {
         "  caused by: I/O node count must be in 1..=64, got 0"
     );
     assert_eq!(lines.next(), None);
+}
+
+/// Runs `repro` with `args`, requires the usage exit code 2, no stdout
+/// (nothing ran) and `message` on stderr.
+fn rejected(args: &[&str], message: &str) {
+    let out = repro(args);
+    assert_eq!(out.status.code(), Some(2), "{args:?}: {}", stderr(&out));
+    assert!(out.stdout.is_empty(), "{args:?} ran before rejecting");
+    assert!(
+        stderr(&out).contains(message),
+        "{args:?}: want `{message}` in {}",
+        stderr(&out)
+    );
+}
+
+#[test]
+fn rebuild_rejects_workload_flags() {
+    rejected(
+        &["rebuild", "--apps", "hf", "--procs", "99"],
+        "`rebuild` does not read --apps",
+    );
+}
+
+#[test]
+fn trace_rejects_out() {
+    rejected(&["trace", "--out", "x.json"], "`trace` does not read --out");
+}
+
+#[test]
+fn scale_rejects_procs() {
+    rejected(&["scale", "--procs", "64"], "`scale` does not read --procs");
+}
+
+#[test]
+fn paper_experiments_reject_seed() {
+    rejected(&["table3", "--seed", "7"], "`table3` does not read --seed");
+}
+
+#[test]
+fn unknown_scene_is_rejected_before_any_scene_runs() {
+    rejected(
+        &["online", "--scenes", "zipfian,bogus"],
+        "unknown scene `bogus` (known: zipfian, diurnal)",
+    );
+}
+
+#[test]
+fn unknown_mode_is_rejected_at_parse_time() {
+    rejected(
+        &["online", "--modes", "table,bogus"],
+        "unknown mode `bogus` (known: table, online, hybrid)",
+    );
+}
+
+#[test]
+fn unknown_scenario_is_rejected_at_parse_time() {
+    rejected(
+        &["faults", "--scenario", "bogus"],
+        "unknown fault scenario `bogus` (known: light, heavy)",
+    );
 }
