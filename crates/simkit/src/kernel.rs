@@ -16,17 +16,13 @@
 //!   pays a push plus a deferred stale-pop for every retarget.
 //! * [`ArbitrationPolicy`] — how slots due at the *same* instant are
 //!   ordered: [`ArbitrationPolicy::Deterministic`] (registration order,
-//!   the default and the basis of the bitwise-reproducibility contract),
-//!   [`ArbitrationPolicy::SeededShuffle`] (a seeded hash permutes
-//!   same-time slots — determinism fuzzing), and
-//!   [`ArbitrationPolicy::Priority`] (explicit slot priorities, ties by
-//!   registration order).
-//! * [`Component`] / [`Emitter`] / [`Kernel`] — a trait-object driver for
-//!   composing independent event sources without writing a hand-rolled
-//!   loop. The hot simulation layers use [`Calendar`] directly (their
-//!   components need mutable access to shared state), but tests,
-//!   microbenchmarks and future sharded time domains compose through
-//!   [`Kernel`].
+//!   the default and the basis of the bitwise-reproducibility contract)
+//!   or [`ArbitrationPolicy::SeededShuffle`] (a seeded hash permutes
+//!   same-time slots — determinism fuzzing).
+//!
+//! Each simulation layer drives its own calendar in its own loop, since
+//! its event sources need mutable access to shared state; sharded time
+//! domains compose through [`crate::shard`].
 //!
 //! # Determinism contract
 //!
@@ -71,9 +67,6 @@ pub enum ArbitrationPolicy {
     /// determinism fuzzing: invariant metrics must not depend on the
     /// seed.
     SeededShuffle(u64),
-    /// Slots fire in ascending priority value (0 first); ties within a
-    /// priority fall back to registration order.
-    Priority,
 }
 
 /// Handle to a registered event source within a [`Calendar`].
@@ -97,12 +90,6 @@ fn shuffle_key(seed: u64, slot: u32, time: SimTime) -> u64 {
     z ^ (z >> 31)
 }
 
-#[derive(Debug, Clone, Copy)]
-struct Slot {
-    due: Option<SimTime>,
-    priority: u32,
-}
-
 /// A slot-based calendar queue with pluggable same-time arbitration.
 ///
 /// Each event source holds one slot whose due time it retargets as its
@@ -112,7 +99,8 @@ struct Slot {
 #[derive(Debug, Default)]
 pub struct Calendar {
     policy: ArbitrationPolicy,
-    slots: Vec<Slot>,
+    /// Each registered slot's due time, by registration index.
+    slots: Vec<Option<SimTime>>,
 }
 
 impl Calendar {
@@ -134,26 +122,16 @@ impl Calendar {
     /// events scheduled under another.
     pub fn set_policy(&mut self, policy: ArbitrationPolicy) {
         debug_assert!(
-            self.slots.iter().all(|s| s.due.is_none()),
+            self.slots.iter().all(Option::is_none),
             "arbitration policy changed with pending entries"
         );
         self.policy = policy;
     }
 
-    /// Registers a new event source (priority 0) and returns its slot.
+    /// Registers a new event source and returns its slot.
     pub fn register(&mut self) -> SlotId {
-        self.register_with_priority(0)
-    }
-
-    /// Registers a new event source with an explicit priority (only
-    /// meaningful under [`ArbitrationPolicy::Priority`]; lower values
-    /// fire first at equal times).
-    pub fn register_with_priority(&mut self, priority: u32) -> SlotId {
         let id = SlotId(self.slots.len() as u32);
-        self.slots.push(Slot {
-            due: None,
-            priority,
-        });
+        self.slots.push(None);
         id
     }
 
@@ -164,15 +142,14 @@ impl Calendar {
 
     /// The slot's current due time.
     pub fn due(&self, slot: SlotId) -> Option<SimTime> {
-        self.slots.get(slot.index()).and_then(|s| s.due)
+        self.slots.get(slot.index()).copied().flatten()
     }
 
     /// The arbitration tie key for `slot` firing at `time`.
-    fn tie_key(&self, slot: u32, priority: u32, time: SimTime) -> u64 {
+    fn tie_key(&self, slot: u32, time: SimTime) -> u64 {
         match self.policy {
             ArbitrationPolicy::Deterministic => u64::from(slot),
             ArbitrationPolicy::SeededShuffle(seed) => shuffle_key(seed, slot, time),
-            ArbitrationPolicy::Priority => (u64::from(priority) << 32) | u64::from(slot),
         }
     }
 
@@ -181,7 +158,7 @@ impl Calendar {
         let i = slot.index();
         debug_assert!(i < self.slots.len(), "retarget of an unregistered slot");
         if let Some(s) = self.slots.get_mut(i) {
-            s.due = due;
+            *s = due;
         }
     }
 
@@ -196,7 +173,7 @@ impl Calendar {
             // tie rule — for one comparison per slot.
             let mut best: Option<(SimTime, u32)> = None;
             for (i, s) in self.slots.iter().enumerate() {
-                let Some(at) = s.due else { continue };
+                let Some(at) = *s else { continue };
                 if best.is_none_or(|(bt, _)| at < bt) {
                     best = Some((at, i as u32));
                 }
@@ -205,17 +182,17 @@ impl Calendar {
         }
         let mut best: Option<(SimTime, u64, u32)> = None;
         for (i, s) in self.slots.iter().enumerate() {
-            let Some(at) = s.due else { continue };
+            let Some(at) = *s else { continue };
             if let Some((bt, bk, _)) = best {
                 if at > bt {
                     continue;
                 }
-                let key = self.tie_key(i as u32, s.priority, at);
+                let key = self.tie_key(i as u32, at);
                 if at < bt || key < bk {
                     best = Some((at, key, i as u32));
                 }
             } else {
-                best = Some((at, self.tie_key(i as u32, s.priority, at), i as u32));
+                best = Some((at, self.tie_key(i as u32, at), i as u32));
             }
         }
         best.map(|(at, _, slot)| (at, SlotId(slot)))
@@ -230,7 +207,7 @@ impl Calendar {
     /// source is expected to handle the event and retarget itself.
     pub fn pop(&mut self) -> Option<(SimTime, SlotId)> {
         let (at, slot) = self.peek()?;
-        self.slots[slot.index()].due = None;
+        self.slots[slot.index()] = None;
         Some((at, slot))
     }
 
@@ -240,152 +217,19 @@ impl Calendar {
         if at > t {
             return None;
         }
-        self.slots[slot.index()].due = None;
+        self.slots[slot.index()] = None;
         Some((at, slot))
     }
 
     /// True when no slot is due.
     pub fn is_empty(&mut self) -> bool {
-        self.slots.iter().all(|s| s.due.is_none())
-    }
-}
-
-/// Scheduling requests a [`Component`] makes while handling a tick.
-///
-/// A component's *own* next wake-up comes from [`Component::next_tick`],
-/// re-queried after every tick; the emitter exists for cross-component
-/// wake-ups (and for waking oneself earlier than `next_tick` reports).
-#[derive(Debug, Default)]
-pub struct Emitter {
-    wakes: Vec<(SlotId, SimTime)>,
-}
-
-impl Emitter {
-    /// Requests that `slot` be ticked no later than `at` (combined by
-    /// minimum with the slot's own `next_tick`).
-    pub fn wake(&mut self, slot: SlotId, at: SimTime) {
-        self.wakes.push((slot, at));
-    }
-}
-
-/// An event source drivable by a [`Kernel`].
-pub trait Component {
-    /// The next instant this component needs to run, if any.
-    fn next_tick(&self) -> Option<SimTime>;
-    /// Handles the tick at `now`; may request wake-ups through `emitter`.
-    fn tick(&mut self, now: SimTime, emitter: &mut Emitter);
-}
-
-/// Drives a set of boxed [`Component`]s against one shared [`Calendar`].
-///
-/// # Example
-///
-/// ```
-/// use simkit::kernel::{ArbitrationPolicy, Component, Emitter, Kernel};
-/// use simkit::{SimDuration, SimTime};
-///
-/// struct Metronome {
-///     next: Option<SimTime>,
-///     period: SimDuration,
-///     ticks: u64,
-/// }
-/// impl Component for Metronome {
-///     fn next_tick(&self) -> Option<SimTime> {
-///         self.next
-///     }
-///     fn tick(&mut self, now: SimTime, _emitter: &mut Emitter) {
-///         self.ticks += 1;
-///         self.next = (self.ticks < 3).then(|| now + self.period);
-///     }
-/// }
-///
-/// let mut kernel = Kernel::new(ArbitrationPolicy::Deterministic);
-/// kernel.add(Box::new(Metronome {
-///     next: Some(SimTime::ZERO),
-///     period: SimDuration::from_micros(10),
-///     ticks: 0,
-/// }));
-/// let processed = kernel.run_until(SimTime::from_micros(1_000));
-/// assert_eq!(processed, 3);
-/// ```
-pub struct Kernel {
-    components: Vec<Box<dyn Component>>,
-    calendar: Calendar,
-    now: SimTime,
-    emitter: Emitter,
-}
-
-impl std::fmt::Debug for Kernel {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Kernel")
-            .field("components", &self.components.len())
-            .field("now", &self.now)
-            .finish_non_exhaustive()
-    }
-}
-
-impl Kernel {
-    /// An empty kernel under the given arbitration policy.
-    pub fn new(policy: ArbitrationPolicy) -> Self {
-        Kernel {
-            components: Vec::new(),
-            calendar: Calendar::new(policy),
-            now: SimTime::ZERO,
-            emitter: Emitter::default(),
-        }
-    }
-
-    /// Adds a component (priority 0) and schedules its first tick.
-    pub fn add(&mut self, component: Box<dyn Component>) -> SlotId {
-        self.add_with_priority(component, 0)
-    }
-
-    /// Adds a component with an explicit arbitration priority.
-    pub fn add_with_priority(&mut self, component: Box<dyn Component>, priority: u32) -> SlotId {
-        let slot = self.calendar.register_with_priority(priority);
-        self.calendar.retarget(slot, component.next_tick());
-        self.components.push(component);
-        slot
-    }
-
-    /// The current simulated time (the last processed tick).
-    pub fn now(&self) -> SimTime {
-        self.now
-    }
-
-    /// The next pending tick, if any.
-    pub fn next_tick(&mut self) -> Option<SimTime> {
-        self.calendar.peek_time()
-    }
-
-    /// Runs ticks in `(time, arbitration)` order until no component is
-    /// due at or before `horizon`; returns the number of ticks processed.
-    pub fn run_until(&mut self, horizon: SimTime) -> u64 {
-        let mut processed = 0;
-        while let Some((at, slot)) = self.calendar.pop_due(horizon) {
-            debug_assert!(at >= self.now, "calendar time went backwards");
-            self.now = self.now.max(at);
-            let c = &mut self.components[slot.index()];
-            c.tick(at, &mut self.emitter);
-            self.calendar.retarget(slot, c.next_tick());
-            for (target, wake_at) in self.emitter.wakes.drain(..) {
-                let own = self.components[target.index()].next_tick();
-                let due = match own {
-                    Some(t) => Some(t.min(wake_at)),
-                    None => Some(wake_at),
-                };
-                self.calendar.retarget(target, due);
-            }
-            processed += 1;
-        }
-        processed
+        self.slots.iter().all(Option::is_none)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::SimDuration;
 
     fn t(us: u64) -> SimTime {
         SimTime::from_micros(us)
@@ -429,21 +273,6 @@ mod tests {
     }
 
     #[test]
-    fn priority_orders_before_registration() {
-        let mut cal = Calendar::new(ArbitrationPolicy::Priority);
-        let low = cal.register_with_priority(9);
-        let high = cal.register_with_priority(1);
-        cal.retarget(low, Some(t(2)));
-        cal.retarget(high, Some(t(2)));
-        assert_eq!(cal.pop(), Some((t(2), high)));
-        assert_eq!(cal.pop(), Some((t(2), low)));
-        // Time still dominates priority.
-        cal.retarget(low, Some(t(1)));
-        cal.retarget(high, Some(t(3)));
-        assert_eq!(cal.pop(), Some((t(1), low)));
-    }
-
-    #[test]
     fn shuffle_is_seed_deterministic_and_varies() {
         let order = |seed: u64| {
             let mut cal = Calendar::new(ArbitrationPolicy::SeededShuffle(seed));
@@ -467,10 +296,9 @@ mod tests {
         for policy in [
             ArbitrationPolicy::Deterministic,
             ArbitrationPolicy::SeededShuffle(99),
-            ArbitrationPolicy::Priority,
         ] {
             let mut cal = Calendar::new(policy);
-            let slots: Vec<SlotId> = (0..8).map(|i| cal.register_with_priority(8 - i)).collect();
+            let slots: Vec<SlotId> = (0..8).map(|_| cal.register()).collect();
             for (i, s) in slots.iter().enumerate() {
                 cal.retarget(*s, Some(t(((i as u64) * 13) % 5)));
             }
@@ -480,73 +308,5 @@ mod tests {
                 last = at;
             }
         }
-    }
-
-    struct Pinger {
-        peer: Option<SlotId>,
-        next: Option<SimTime>,
-        seen: u64,
-    }
-
-    impl Component for Pinger {
-        fn next_tick(&self) -> Option<SimTime> {
-            self.next
-        }
-        fn tick(&mut self, now: SimTime, emitter: &mut Emitter) {
-            self.seen += 1;
-            self.next = None;
-            if let Some(peer) = self.peer {
-                if self.seen < 3 {
-                    emitter.wake(peer, now + SimDuration::from_micros(5));
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn kernel_delivers_cross_component_wakes() {
-        // a pings b, b pings a, until each has seen 3 ticks. Slots are
-        // registered first so each pinger can name its peer.
-        let mut kernel = Kernel::new(ArbitrationPolicy::Deterministic);
-        let a = kernel.calendar.register();
-        let b = kernel.calendar.register();
-        kernel.components.push(Box::new(Pinger {
-            peer: Some(b),
-            next: Some(t(0)),
-            seen: 0,
-        }));
-        kernel.components.push(Box::new(Pinger {
-            peer: Some(a),
-            next: None,
-            seen: 0,
-        }));
-        kernel
-            .calendar
-            .retarget(a, kernel.components[0].next_tick());
-        kernel
-            .calendar
-            .retarget(b, kernel.components[1].next_tick());
-        let processed = kernel.run_until(t(1_000));
-        assert_eq!(processed, 5, "ping-pong: a,b,a,b,a");
-        assert_eq!(kernel.now(), t(20));
-    }
-
-    #[test]
-    fn kernel_counts_and_stops_at_horizon() {
-        struct Every10 {
-            next: Option<SimTime>,
-        }
-        impl Component for Every10 {
-            fn next_tick(&self) -> Option<SimTime> {
-                self.next
-            }
-            fn tick(&mut self, now: SimTime, _e: &mut Emitter) {
-                self.next = Some(now + SimDuration::from_micros(10));
-            }
-        }
-        let mut kernel = Kernel::new(ArbitrationPolicy::Deterministic);
-        kernel.add(Box::new(Every10 { next: Some(t(0)) }));
-        assert_eq!(kernel.run_until(t(55)), 6); // 0,10,20,30,40,50
-        assert_eq!(kernel.next_tick(), Some(t(60)));
     }
 }

@@ -105,10 +105,9 @@ impl GlobalSlot {
 /// A component that lives on a shard and interacts with the rest of the
 /// scene exclusively through timestamped messages.
 ///
-/// The contract mirrors [`crate::kernel::Component`] but replaces the
-/// shared-heap emitter with addressed sends: all interaction between
-/// components must go through [`ShardCtx::send`] with a delivery latency
-/// of at least the kernel's epoch window.
+/// All interaction between components goes through addressed sends:
+/// [`ShardCtx::send`], with a delivery latency of at least the kernel's
+/// epoch window.
 pub trait ShardComponent<M>: Send {
     /// The next time this component wants [`Self::tick`] to run, if any.
     ///

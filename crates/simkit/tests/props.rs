@@ -163,7 +163,6 @@ proptest! {
         for policy in [
             ArbitrationPolicy::Deterministic,
             ArbitrationPolicy::SeededShuffle(seed),
-            ArbitrationPolicy::Priority,
         ] {
             let fired = drain(policy, &times);
             prop_assert_eq!(fired.len(), times.len());
@@ -221,36 +220,5 @@ proptest! {
             drained.push((t.as_micros(), s.index()));
         }
         prop_assert_eq!(drained, rest);
-    }
-
-    /// Priority arbitration never inverts distinct priorities at the same
-    /// instant: among same-time events the lower priority value always
-    /// fires first.
-    #[test]
-    fn priority_arbitration_never_inverts_distinct_priorities(
-        entries in prop::collection::vec((0u64..20, 0u32..8), 1..100),
-    ) {
-        let mut cal = Calendar::new(ArbitrationPolicy::Priority);
-        let mut priority_of = Vec::new();
-        for &(t, prio) in &entries {
-            let slot = cal.register_with_priority(prio);
-            cal.retarget(slot, Some(SimTime::from_micros(t)));
-            priority_of.push(prio);
-        }
-        let mut fired = Vec::new();
-        while let Some((t, s)) = cal.pop() {
-            fired.push((t, priority_of[s.index()]));
-        }
-        prop_assert_eq!(fired.len(), entries.len());
-        for w in fired.windows(2) {
-            prop_assert!(w[0].0 <= w[1].0, "time order violated");
-            if w[0].0 == w[1].0 {
-                prop_assert!(
-                    w[0].1 <= w[1].1,
-                    "priority inversion at {:?}: {} fired before {}",
-                    w[0].0, w[1].1, w[0].1
-                );
-            }
-        }
     }
 }
