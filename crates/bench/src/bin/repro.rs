@@ -163,7 +163,7 @@ impl Default for Options {
             seed: 42,
             scene_scale: 0.25,
             seeds: 8,
-            scenes: twins::SCENES.map(String::from).to_vec(),
+            scenes: twins::SCENES.map(|(name, _)| name.to_owned()).to_vec(),
             modes: OnlineMode::all().to_vec(),
             sweep: ScaleSweep {
                 scales: vec![1.0, 10.0, 100.0],
@@ -280,8 +280,8 @@ fn set(o: &mut Options, flag: &str, v: &str) -> Result<(), String> {
         "--seeds" => o.seeds = at_least_one(flag, v)?,
         "--scenes" => {
             let scene = |s: &str| {
-                let found = twins::SCENES.contains(&s).then(|| s.to_owned());
-                known("scene", s, found, &twins::SCENES.join(", "))
+                let found = twins::SCENES.iter().any(|&(n, _)| n == s);
+                known("scene", s, found.then(|| s.to_owned()), "zipfian, diurnal")
             };
             o.scenes = list(flag, v, scene)?;
         }

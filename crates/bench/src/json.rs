@@ -13,7 +13,7 @@
 use simkit::telemetry::{json_escape, json_f64};
 
 /// How a float renders.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy)]
 pub enum FloatFormat {
     /// Rust's shortest round-trip form (`0.1`, `25`).
     Shortest,
@@ -24,7 +24,7 @@ pub enum FloatFormat {
 }
 
 /// One JSON value.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug)]
 pub enum Json {
     /// `null`.
     Null,
@@ -138,7 +138,7 @@ fn render_members<'a>(
 }
 
 /// An object under construction; members keep their insertion order.
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Debug, Default)]
 pub struct Obj {
     members: Vec<(String, Json)>,
     block: bool,

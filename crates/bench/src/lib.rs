@@ -23,6 +23,14 @@
     warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)
 )]
 
+/// Appends one formatted line to a `String`.
+macro_rules! outln {
+    ($out:expr, $($arg:tt)*) => {{
+        $out.push_str(&format!($($arg)*));
+        $out.push('\n');
+    }};
+}
+
 pub mod json;
 pub mod observe;
 pub mod outcome;

@@ -18,7 +18,6 @@ use simkit::SimDuration;
 
 use crate::json::{Json, Obj};
 use crate::outcome::{Check, CommandError, Outcome};
-use crate::outln;
 use crate::timing::push_trace_files;
 use crate::twins::fault_spec;
 

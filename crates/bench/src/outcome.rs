@@ -14,20 +14,8 @@ use std::path::PathBuf;
 
 use crate::render_diagnostic;
 
-/// Appends one formatted line to a `String`.
-#[macro_export]
-macro_rules! outln {
-    ($out:expr) => {
-        $out.push('\n')
-    };
-    ($out:expr, $($arg:tt)*) => {{
-        $out.push_str(&format!($($arg)*));
-        $out.push('\n');
-    }};
-}
-
 /// One named invariant a command verifies, with every violation found.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug)]
 pub struct Check {
     name: &'static str,
     failures: Vec<String>,
@@ -71,7 +59,7 @@ pub struct Outcome {
 }
 
 impl Outcome {
-    /// One `check `<name>` failed: <why>` line per violation.
+    /// One ``check `NAME` failed: WHY`` line per violation.
     pub fn failures(&self) -> Vec<String> {
         self.checks
             .iter()

@@ -13,9 +13,7 @@ use sdds::SystemConfig;
 use sdds_workloads::App;
 
 use crate::outcome::{emit, CommandError, Outcome};
-use crate::{
-    outln, pct, render_cdf_rows, render_strategies, render_sweep, render_table3, render_theta,
-};
+use crate::{pct, render_cdf_rows, render_strategies, render_sweep, render_table3, render_theta};
 
 /// The experiments `repro all` runs, in order.
 pub const ALL: [&str; 17] = [

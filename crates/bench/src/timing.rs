@@ -15,7 +15,6 @@ use simkit::SimDuration;
 
 use crate::json::{find_number, Json, Obj};
 use crate::outcome::{Check, CommandError, Outcome};
-use crate::outln;
 
 /// A count of work done in some host seconds.
 struct Rate {
@@ -351,7 +350,7 @@ fn compile_microbench(base: &SystemConfig, apps: &[App], repeat: usize) -> Resul
 }
 
 /// The `repro scale` sweep: scene scale factors × worker counts.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct ScaleSweep {
     /// Scene scale factors.
     pub scales: Vec<f64>,

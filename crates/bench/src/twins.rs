@@ -21,7 +21,6 @@ use simkit::kernel::ArbitrationPolicy;
 
 use crate::json::{Json, Obj};
 use crate::outcome::{Check, CommandError, Outcome};
-use crate::outln;
 
 /// The named fault scenario (`light` or `heavy`) at `seed`.
 pub(crate) fn fault_spec(name: &str, seed: u64) -> Result<FaultSpec, CommandError> {
@@ -148,8 +147,14 @@ pub fn faults(
     Ok(o)
 }
 
-/// The keyed scenes `repro online` knows, by name.
-pub const SCENES: [&str; 2] = ["zipfian", "diurnal"];
+/// A keyed scene of `repro online`: its name and its workload at a seed.
+pub type Scene = (&'static str, fn(u64) -> KeyedWorkloadSpec);
+
+/// The keyed scenes `repro online` knows.
+pub const SCENES: [Scene; 2] = [
+    ("zipfian", KeyedWorkloadSpec::zipfian_hot_set),
+    ("diurnal", KeyedWorkloadSpec::diurnal),
+];
 
 /// `repro online`: compares the compile-time, online and hybrid decision
 /// layers on keyed workloads the compiler cannot characterize from loop
@@ -166,13 +171,14 @@ pub fn online(
 ) -> Result<Outcome, CommandError> {
     let specs = scenes
         .iter()
-        .map(|scene| match scene.as_str() {
-            "zipfian" => Ok(KeyedWorkloadSpec::zipfian_hot_set(seed)),
-            "diurnal" => Ok(KeyedWorkloadSpec::diurnal(seed)),
-            other => Err(CommandError::new(
-                2,
-                format!("unknown scene `{other}` (known: zipfian, diurnal)"),
-            )),
+        .map(|scene| {
+            let known = SCENES.iter().find(|(name, _)| name == scene);
+            known.map(|(_, spec)| spec(seed)).ok_or_else(|| {
+                CommandError::new(
+                    2,
+                    format!("unknown scene `{scene}` (known: zipfian, diurnal)"),
+                )
+            })
         })
         .collect::<Result<Vec<_>, _>>()?;
     let mut o = Outcome::default();
