@@ -74,11 +74,12 @@ impl Json {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
             Json::UInt(n) => out.push_str(&n.to_string()),
+            // `json_f64` renders the shortest form, and `null` for every
+            // non-finite value whatever its format.
             Json::Float(x, format) => out.push_str(&match format {
-                _ if !x.is_finite() => json_f64(*x),
-                FloatFormat::Shortest => json_f64(*x),
-                FloatFormat::Fixed(digits) => format!("{x:.digits$}"),
-                FloatFormat::Sci(digits) => format!("{x:.digits$e}"),
+                FloatFormat::Fixed(digits) if x.is_finite() => format!("{x:.digits$}"),
+                FloatFormat::Sci(digits) if x.is_finite() => format!("{x:.digits$e}"),
+                _ => json_f64(*x),
             }),
             Json::Str(s) => {
                 out.push('"');
