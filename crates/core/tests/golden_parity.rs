@@ -4,7 +4,10 @@
 //! The fixture (`golden_parity.txt`) was generated from the build that
 //! predates the unified event kernel; any refactor of the event core must
 //! keep the default `Deterministic` arbitration byte-identical to it.
-//! Regenerate deliberately with:
+//! A second fixture (`golden_parity_raid5.txt`) pins multi-disk nodes and
+//! the fault-recovery path the same way: RAID-5 with four disks per node,
+//! fault-free and under the heavy fault scenario, with the fault counters
+//! appended to each line. Regenerate deliberately with:
 //!
 //! ```text
 //! SDDS_REGEN_GOLDEN=1 cargo test -p sdds --test golden_parity
@@ -16,12 +19,14 @@ use std::path::PathBuf;
 
 use sdds::{run, SystemConfig};
 use sdds_power::PolicyKind;
+use sdds_storage::RaidLevel;
 use sdds_workloads::{App, WorkloadScale};
+use simkit::fault::FaultSpec;
 
-fn fixture_path() -> PathBuf {
+fn fixture_path(name: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
         .join("tests")
-        .join("golden_parity.txt")
+        .join(name)
 }
 
 /// FNV-1a over the per-process finish times, pinning each one.
@@ -36,20 +41,35 @@ fn finish_hash(finishes: &[simkit::SimDuration]) -> u64 {
     h
 }
 
-/// One matrix cell rendered as `key=value` tokens, one line per cell.
-fn cell_line(app: App, policy: &PolicyKind, scheme: bool) -> String {
-    let cfg = SystemConfig {
+/// The platform every fixture cell starts from: the paper defaults at
+/// test scale.
+fn test_scale() -> SystemConfig {
+    SystemConfig {
         scale: WorkloadScale::test(),
         ..SystemConfig::paper_defaults()
     }
-    .with_policy(policy.clone())
-    .with_scheme(scheme);
+}
+
+/// One matrix cell rendered as `key=value` tokens, one line per cell.
+/// With `faults`, the line starts with the fault scenario's name and ends
+/// with every fault counter.
+fn cell_line(
+    base: &SystemConfig,
+    faults: Option<&str>,
+    app: App,
+    policy: &PolicyKind,
+    scheme: bool,
+) -> String {
+    let cfg = base.with_policy(policy.clone()).with_scheme(scheme);
     let o =
         run(app, &cfg).unwrap_or_else(|e| panic!("{} under {}: {e}", app.name(), policy.name()));
     let r = &o.result;
     let b = &r.buffer;
     let p = &r.prefetch;
     let mut line = String::new();
+    if let Some(name) = faults {
+        write!(line, "faults={name} ").expect("writing to a String cannot fail");
+    }
     write!(
         line,
         "app={} policy={} scheme={} exec_us={} energy_bits={:016x} bytes_r={} bytes_w={} \
@@ -79,15 +99,62 @@ fn cell_line(app: App, policy: &PolicyKind, scheme: bool) -> String {
         r.idle_histogram.total(),
     )
     .expect("writing to a String cannot fail");
+    if faults.is_some() {
+        let f = &r.faults;
+        write!(
+            line,
+            " injected_transient={} injected_bad_sector={} retried={} remapped={} \
+             reconstructed={} redirected={} deferred={}",
+            f.injected_transient,
+            f.injected_bad_sector,
+            f.retried,
+            f.remapped,
+            f.reconstructed,
+            f.redirected,
+            f.deferred,
+        )
+        .expect("writing to a String cannot fail");
+    }
     line
 }
 
 fn current_matrix() -> Vec<String> {
+    let base = test_scale();
     let mut lines = Vec::new();
     for app in App::all() {
         for policy in PolicyKind::paper_strategies() {
             for scheme in [false, true] {
-                lines.push(cell_line(app, &policy, scheme));
+                lines.push(cell_line(&base, None, app, &policy, scheme));
+            }
+        }
+    }
+    lines
+}
+
+/// RAID-5 with four disks per node, fault-free and under the heavy fault
+/// scenario (seed 42): no power management, simple spin-down and the
+/// history-based multi-speed policy, scheme off and on. Two apps keep the
+/// debug run short: `hf` moves the most data, and `wupwise` exercises
+/// retries, crash redirects and crash deferrals under the heavy plan.
+fn raid5_matrix() -> Vec<String> {
+    let raid5 = SystemConfig {
+        raid_level: RaidLevel::Raid5,
+        disks_per_node: 4,
+        ..test_scale()
+    };
+    let policies = [
+        PolicyKind::NoPm,
+        PolicyKind::simple_spin_down_default(),
+        PolicyKind::history_based_default(),
+    ];
+    let mut lines = Vec::new();
+    for (name, spec) in [("none", None), ("heavy42", Some(FaultSpec::heavy(42)))] {
+        let base = raid5.with_fault(spec);
+        for app in [App::Hf, App::Wupwise] {
+            for policy in &policies {
+                for scheme in [false, true] {
+                    lines.push(cell_line(&base, Some(name), app, policy, scheme));
+                }
             }
         }
     }
@@ -103,20 +170,20 @@ fn parse_line(line: &str) -> (String, BTreeMap<String, String>) {
             .unwrap_or_else(|| panic!("malformed fixture token {token:?}"));
         map.insert(k.to_string(), v.to_string());
     }
-    let id = format!("{}/{}/{}", map["app"], map["policy"], map["scheme"]);
+    let mut id = format!("{}/{}/{}", map["app"], map["policy"], map["scheme"]);
+    if let Some(faults) = map.get("faults") {
+        id = format!("{faults}/{id}");
+    }
     (id, map)
 }
 
-#[test]
-fn matrix_matches_committed_fixture() {
-    let path = fixture_path();
-    let lines = current_matrix();
+/// Compares `lines` with the committed fixture `name` field by field, or
+/// rewrites the fixture (under `header`) when `SDDS_REGEN_GOLDEN` is set.
+fn check_fixture(name: &str, header: &str, lines: &[String]) {
+    let path = fixture_path(name);
     if std::env::var_os("SDDS_REGEN_GOLDEN").is_some() {
-        let mut out = String::from(
-            "# Golden parity fixture: app x policy x scheme at test scale.\n\
-             # Regenerate with SDDS_REGEN_GOLDEN=1 cargo test -p sdds --test golden_parity\n",
-        );
-        for l in &lines {
+        let mut out = String::from(header);
+        for l in lines {
             out.push_str(l);
             out.push('\n');
         }
@@ -154,5 +221,26 @@ fn matrix_matches_committed_fixture() {
         "golden parity violated in {} place(s):\n{}",
         diffs.len(),
         diffs.join("\n")
+    );
+}
+
+#[test]
+fn matrix_matches_committed_fixture() {
+    check_fixture(
+        "golden_parity.txt",
+        "# Golden parity fixture: app x policy x scheme at test scale.\n\
+         # Regenerate with SDDS_REGEN_GOLDEN=1 cargo test -p sdds --test golden_parity\n",
+        &current_matrix(),
+    );
+}
+
+#[test]
+fn raid5_matrix_matches_committed_fixture() {
+    check_fixture(
+        "golden_parity_raid5.txt",
+        "# Golden parity fixture: RAID-5 x4 per node, fault-free and heavy(42),\n\
+         # app x policy x scheme at test scale, with the fault counters.\n\
+         # Regenerate with SDDS_REGEN_GOLDEN=1 cargo test -p sdds --test golden_parity\n",
+        &raid5_matrix(),
     );
 }
