@@ -32,6 +32,23 @@ proptest! {
         }
     }
 
+    /// Distinct pieces of one range never share a (node, local block)
+    /// pair, so the storage system issues each piece as its own block op.
+    #[test]
+    fn striping_pieces_are_distinct_blocks(
+        stripe_kb in 1u64..256,
+        nodes in 1usize..64,
+        file in 0u32..64,
+        offset in 0u64..100_000_000,
+        len in 1u64..20_000_000,
+    ) {
+        let layout = StripingLayout::new(stripe_kb * 1024, nodes).unwrap();
+        let pieces = layout.split_range(FileId(file), offset, len);
+        let blocks: std::collections::BTreeSet<(usize, u64)> =
+            pieces.iter().map(|&(node, block, _, _)| (node, block)).collect();
+        prop_assert_eq!(blocks.len(), pieces.len());
+    }
+
     /// The node of a byte equals the node of its containing stripe, and
     /// consecutive stripes rotate round-robin.
     #[test]
