@@ -9,7 +9,7 @@ use simkit::SimDuration;
 use simkit::{DetRng, SimTime};
 
 use crate::elevator::{ElevatorQueue, PendingRequest};
-use crate::energy::EnergyAccount;
+use crate::energy::{EnergyAccount, StateBucket};
 use crate::idle::IdleTracker;
 use crate::params::{DiskParams, Rpm};
 use crate::power::SpindlePowerModel;
@@ -136,6 +136,10 @@ pub struct Disk {
     power: SpindlePowerModel,
     now: SimTime,
     state: DiskState,
+    /// Power drawn in `state`, fixed when the state is entered.
+    watts: f64,
+    /// Energy bucket of `state`, fixed when the state is entered.
+    bucket: StateBucket,
     /// End time of the current timed phase (service phase or transition).
     phase_end: Option<SimTime>,
     current: Option<InService>,
@@ -172,12 +176,16 @@ impl Disk {
     /// the configuration is inconsistent.
     pub fn new(params: DiskParams) -> Result<Self, crate::DiskError> {
         let power = SpindlePowerModel::new(&params)?;
-        let max_rpm = params.max_rpm;
+        let state = DiskState::Idle {
+            rpm: params.max_rpm,
+        };
         Ok(Disk {
+            watts: power.watts(&state),
+            bucket: StateBucket::of(&state),
             params,
             power,
             now: SimTime::ZERO,
-            state: DiskState::Idle { rpm: max_rpm },
+            state,
             phase_end: None,
             current: None,
             queue: ElevatorQueue::new(),
@@ -529,14 +537,13 @@ impl Disk {
     /// Integrates energy in the current state from `self.now` to `t`.
     fn accrue_until(&mut self, t: SimTime) {
         if t > self.now {
-            let dur = t - self.now;
-            self.energy
-                .accrue(self.state.label(), self.power.watts(&self.state), dur);
+            self.energy.accrue(self.bucket, self.watts, t - self.now);
             self.now = t;
         }
     }
 
-    /// Moves the state machine to `next`, recording the transition when
+    /// Moves the state machine to `next`, fixing the power draw and energy
+    /// bucket every accrual in it uses, and records the transition when
     /// tracing is enabled. Every state change after construction goes
     /// through here.
     fn set_state(&mut self, next: DiskState) {
@@ -551,6 +558,8 @@ impl Disk {
             });
         }
         self.state = next;
+        self.watts = self.power.watts(&next);
+        self.bucket = StateBucket::of(&next);
     }
 
     /// Handles the end of the current timed phase at `self.now`.

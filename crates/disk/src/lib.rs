@@ -52,7 +52,7 @@ pub mod service;
 pub mod state;
 
 pub use disk::{CompletedRequest, Disk, DiskCounters, RpmChangePriority};
-pub use energy::EnergyAccount;
+pub use energy::{EnergyAccount, StateBucket};
 pub use error::DiskError;
 pub use idle::IdleTracker;
 pub use params::{DiskParams, Rpm, SeekModel};

@@ -1,9 +1,14 @@
 //! Property tests for the disk model: conservation laws over arbitrary
 //! request streams and power-state command sequences.
 
+use std::collections::BTreeMap;
+
 use proptest::prelude::*;
-use sdds_disk::{Disk, DiskParams, DiskRequest, RequestKind, Rpm, RpmChangePriority};
-use simkit::SimTime;
+use sdds_disk::{
+    Disk, DiskParams, DiskRequest, DiskState, EnergyAccount, RequestKind, Rpm, RpmChangePriority,
+    StateBucket,
+};
+use simkit::{SimDuration, SimTime};
 
 /// An arbitrary workload step.
 #[derive(Debug, Clone)]
@@ -47,6 +52,104 @@ fn arb_step() -> impl Strategy<Value = Step> {
             }
         }),
     ]
+}
+
+/// One state of every energy bucket.
+fn every_state() -> [DiskState; 7] {
+    let full = Rpm::new(12_000);
+    [
+        DiskState::Idle { rpm: full },
+        DiskState::Seeking { rpm: full },
+        DiskState::Transferring { rpm: full },
+        DiskState::SpinningDown,
+        DiskState::Standby,
+        DiskState::SpinningUp,
+        DiskState::ChangingSpeed {
+            from: full,
+            to: Rpm::new(3_600),
+        },
+    ]
+}
+
+/// The sorted-map account `EnergyAccount` must add exactly like.
+#[derive(Default)]
+struct MapAccount(BTreeMap<&'static str, (f64, SimDuration)>);
+
+impl MapAccount {
+    fn accrue(&mut self, state: &'static str, watts: f64, duration: SimDuration) {
+        if duration.is_zero() {
+            return;
+        }
+        let entry = self.0.entry(state).or_default();
+        entry.0 += watts * duration.as_secs_f64();
+        entry.1 += duration;
+    }
+
+    fn merge(&mut self, other: &MapAccount) {
+        for (state, e) in &other.0 {
+            let entry = self.0.entry(state).or_default();
+            entry.0 += e.0;
+            entry.1 += e.1;
+        }
+    }
+
+    fn assert_same(&self, acct: &EnergyAccount) {
+        let got: Vec<(&str, u64, SimDuration)> = acct
+            .iter()
+            .map(|(state, e)| (state, e.joules.to_bits(), e.residency))
+            .collect();
+        let want: Vec<(&str, u64, SimDuration)> = self
+            .0
+            .iter()
+            .map(|(state, e)| (*state, e.0.to_bits(), e.1))
+            .collect();
+        prop_assert_eq!(got, want);
+        let total: f64 = self.0.values().map(|e| e.0).sum();
+        prop_assert_eq!(acct.total_joules().to_bits(), total.to_bits());
+        let time: SimDuration = self.0.values().map(|e| e.1).sum();
+        prop_assert_eq!(acct.total_time(), time);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// State-indexed buckets add exactly what a sorted map keyed by label
+    /// adds, in the same order: per-state joules, totals and residency
+    /// agree bit for bit through accruals (zero-length ones included)
+    /// into two accounts and merges of one into the other.
+    #[test]
+    fn energy_buckets_add_like_a_sorted_map(
+        steps in prop::collection::vec(
+            (0usize..7, 0.0f64..50.0, 0u64..20_000_000, 0u8..8),
+            0..80,
+        ),
+    ) {
+        let states = every_state();
+        let (mut a, mut b) = (EnergyAccount::new(), EnergyAccount::new());
+        let (mut ref_a, mut ref_b) = (MapAccount::default(), MapAccount::default());
+        for (state, watts, raw_us, action) in steps {
+            let state = states[state];
+            // About one accrual in ten has zero length.
+            let duration = SimDuration::from_micros(raw_us.saturating_sub(2_000_000));
+            match action {
+                0..=4 => {
+                    a.accrue(StateBucket::of(&state), watts, duration);
+                    ref_a.accrue(state.label(), watts, duration);
+                }
+                5 | 6 => {
+                    b.accrue(StateBucket::of(&state), watts, duration);
+                    ref_b.accrue(state.label(), watts, duration);
+                }
+                _ => {
+                    a.merge(&b);
+                    ref_a.merge(&ref_b);
+                }
+            }
+        }
+        ref_a.assert_same(&a);
+        ref_b.assert_same(&b);
+    }
 }
 
 proptest! {
