@@ -7,7 +7,10 @@
 //! A second fixture (`golden_parity_raid5.txt`) pins multi-disk nodes and
 //! the fault-recovery path the same way: RAID-5 with four disks per node,
 //! fault-free and under the heavy fault scenario, with the fault counters
-//! appended to each line. Regenerate deliberately with:
+//! appended to each line. A third (`golden_parity_engine.txt`) pins the
+//! engine paths the matrix never takes: `SeededShuffle` arbitration, and a
+//! prefetch buffer small enough that the scheduler thread defers
+//! prefetches because it is full. Regenerate deliberately with:
 //!
 //! ```text
 //! SDDS_REGEN_GOLDEN=1 cargo test -p sdds --test golden_parity
@@ -22,6 +25,7 @@ use sdds_power::PolicyKind;
 use sdds_storage::RaidLevel;
 use sdds_workloads::{App, WorkloadScale};
 use simkit::fault::FaultSpec;
+use simkit::kernel::ArbitrationPolicy;
 
 fn fixture_path(name: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -51,11 +55,13 @@ fn test_scale() -> SystemConfig {
 }
 
 /// One matrix cell rendered as `key=value` tokens, one line per cell.
-/// With `faults`, the line starts with the fault scenario's name and ends
-/// with every fault counter.
+/// A `variant` token (`faults=`, `arb=` or `buffer_mb=`) starts the line
+/// and names the platform the cell runs on; with `fault_counters`, the
+/// line ends with every fault counter.
 fn cell_line(
     base: &SystemConfig,
-    faults: Option<&str>,
+    variant: Option<&str>,
+    fault_counters: bool,
     app: App,
     policy: &PolicyKind,
     scheme: bool,
@@ -67,8 +73,8 @@ fn cell_line(
     let b = &r.buffer;
     let p = &r.prefetch;
     let mut line = String::new();
-    if let Some(name) = faults {
-        write!(line, "faults={name} ").expect("writing to a String cannot fail");
+    if let Some(token) = variant {
+        write!(line, "{token} ").expect("writing to a String cannot fail");
     }
     write!(
         line,
@@ -99,7 +105,7 @@ fn cell_line(
         r.idle_histogram.total(),
     )
     .expect("writing to a String cannot fail");
-    if faults.is_some() {
+    if fault_counters {
         let f = &r.faults;
         write!(
             line,
@@ -124,7 +130,7 @@ fn current_matrix() -> Vec<String> {
     for app in App::all() {
         for policy in PolicyKind::paper_strategies() {
             for scheme in [false, true] {
-                lines.push(cell_line(&base, None, app, &policy, scheme));
+                lines.push(cell_line(&base, None, false, app, &policy, scheme));
             }
         }
     }
@@ -150,13 +156,55 @@ fn raid5_matrix() -> Vec<String> {
     let mut lines = Vec::new();
     for (name, spec) in [("none", None), ("heavy42", Some(FaultSpec::heavy(42)))] {
         let base = raid5.with_fault(spec);
+        let variant = format!("faults={name}");
         for app in [App::Hf, App::Wupwise] {
             for policy in &policies {
                 for scheme in [false, true] {
-                    lines.push(cell_line(&base, Some(name), app, policy, scheme));
+                    lines.push(cell_line(&base, Some(&variant), true, app, policy, scheme));
                 }
             }
         }
+    }
+    lines
+}
+
+/// The engine paths the paper matrix never takes, on one-disk nodes:
+/// `SeededShuffle` arbitration under seeds 1 and 7 (no power management
+/// and history-based, scheme off and on), and a 4 MiB prefetch buffer
+/// under `Deterministic`, where the scheduler thread defers prefetches
+/// because the buffer is full (`deferred_full > 0`).
+fn engine_matrix() -> Vec<String> {
+    let mut lines = Vec::new();
+    for seed in [1_u64, 7] {
+        let base = test_scale().with_arbitration(ArbitrationPolicy::SeededShuffle(seed));
+        let variant = format!("arb=shuffle{seed}");
+        for app in [App::Hf, App::Wupwise] {
+            for policy in [PolicyKind::NoPm, PolicyKind::history_based_default()] {
+                for scheme in [false, true] {
+                    lines.push(cell_line(
+                        &base,
+                        Some(&variant),
+                        false,
+                        app,
+                        &policy,
+                        scheme,
+                    ));
+                }
+            }
+        }
+    }
+    let mut small = test_scale();
+    small.engine.buffer_capacity = 4 * 1024 * 1024;
+    for app in [App::Hf, App::Sar] {
+        let policy = PolicyKind::history_based_default();
+        lines.push(cell_line(
+            &small,
+            Some("buffer_mb=4"),
+            false,
+            app,
+            &policy,
+            true,
+        ));
     }
     lines
 }
@@ -171,8 +219,10 @@ fn parse_line(line: &str) -> (String, BTreeMap<String, String>) {
         map.insert(k.to_string(), v.to_string());
     }
     let mut id = format!("{}/{}/{}", map["app"], map["policy"], map["scheme"]);
-    if let Some(faults) = map.get("faults") {
-        id = format!("{faults}/{id}");
+    for key in ["faults", "arb", "buffer_mb"] {
+        if let Some(v) = map.get(key) {
+            id = format!("{key}={v}/{id}");
+        }
     }
     (id, map)
 }
@@ -242,5 +292,16 @@ fn raid5_matrix_matches_committed_fixture() {
          # app x policy x scheme at test scale, with the fault counters.\n\
          # Regenerate with SDDS_REGEN_GOLDEN=1 cargo test -p sdds --test golden_parity\n",
         &raid5_matrix(),
+    );
+}
+
+#[test]
+fn engine_paths_match_committed_fixture() {
+    check_fixture(
+        "golden_parity_engine.txt",
+        "# Golden parity fixture: SeededShuffle(1|7) x app x policy x scheme, and a\n\
+         # 4 MiB prefetch buffer (deferred_full > 0), at test scale.\n\
+         # Regenerate with SDDS_REGEN_GOLDEN=1 cargo test -p sdds --test golden_parity\n",
+        &engine_matrix(),
     );
 }
