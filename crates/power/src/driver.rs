@@ -93,7 +93,8 @@ pub struct PoweredArray {
     /// at equal times, disks fire first under deterministic arbitration).
     timer_slot: SlotId,
     /// Cached result of [`PoweredArray::next_event_time`], kept current at
-    /// every public-API boundary (the calendar needs `&mut` to peek).
+    /// every public-API boundary, so a call reads a field instead of
+    /// scanning the calendar.
     cached_next: Option<SimTime>,
     /// Telemetry buffer for policy decisions; `None` (the default) keeps
     /// tracing entirely off the hot path.

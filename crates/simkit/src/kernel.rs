@@ -9,11 +9,12 @@
 //!   registers once and receives a [`SlotId`]; thereafter it only
 //!   *retargets* its next due time. The calendar orders due slots by
 //!   `(time, arbitration key)`: a retarget is an `O(1)` store and
-//!   peek/pop scan the slot table. Slots are *components*, not events —
-//!   a simulation has a handful of them (the payload queues behind each
-//!   slot hold the many events) — so the branch-predictable scan over a
-//!   contiguous array beats a binary heap with lazy deletion, which
-//!   pays a push plus a deferred stale-pop for every retarget.
+//!   peek/pop scan a flat array of due times. Slots are *components*,
+//!   not events — a simulation has a handful to a few thousand of them
+//!   (the payload queues behind each slot hold the many events) — so a
+//!   scan over a contiguous array beats a binary heap with lazy
+//!   deletion, which pays a push plus a deferred stale-pop for every
+//!   retarget.
 //! * [`ArbitrationPolicy`] — how slots due at the *same* instant are
 //!   ordered: [`ArbitrationPolicy::Deterministic`] (registration order,
 //!   the default and the basis of the bitwise-reproducibility contract)
@@ -90,6 +91,10 @@ fn shuffle_key(seed: u64, slot: u32, time: SimTime) -> u64 {
     z ^ (z >> 31)
 }
 
+/// A slot's due time while it has nothing due: [`SimTime::MAX`] in
+/// microseconds, which no scan minimum can beat.
+const PARKED: u64 = u64::MAX;
+
 /// A slot-based calendar queue with pluggable same-time arbitration.
 ///
 /// Each event source holds one slot whose due time it retargets as its
@@ -99,8 +104,9 @@ fn shuffle_key(seed: u64, slot: u32, time: SimTime) -> u64 {
 #[derive(Debug, Default)]
 pub struct Calendar {
     policy: ArbitrationPolicy,
-    /// Each registered slot's due time, by registration index.
-    slots: Vec<Option<SimTime>>,
+    /// Each registered slot's due time in microseconds, by registration
+    /// index; [`PARKED`] when the slot has nothing due.
+    due: Vec<u64>,
 }
 
 impl Calendar {
@@ -108,13 +114,8 @@ impl Calendar {
     pub fn new(policy: ArbitrationPolicy) -> Self {
         Calendar {
             policy,
-            slots: Vec::new(),
+            due: Vec::new(),
         }
-    }
-
-    /// The active arbitration policy.
-    pub fn policy(&self) -> ArbitrationPolicy {
-        self.policy
     }
 
     /// Replaces the arbitration policy. Switch only while no slot is due
@@ -122,7 +123,7 @@ impl Calendar {
     /// events scheduled under another.
     pub fn set_policy(&mut self, policy: ArbitrationPolicy) {
         debug_assert!(
-            self.slots.iter().all(Option::is_none),
+            self.due.iter().all(|&d| d == PARKED),
             "arbitration policy changed with pending entries"
         );
         self.policy = policy;
@@ -130,76 +131,64 @@ impl Calendar {
 
     /// Registers a new event source and returns its slot.
     pub fn register(&mut self) -> SlotId {
-        let id = SlotId(self.slots.len() as u32);
-        self.slots.push(None);
+        let id = SlotId(self.due.len() as u32);
+        self.due.push(PARKED);
         id
     }
 
-    /// Number of registered slots.
-    pub fn slot_count(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// The slot's current due time.
-    pub fn due(&self, slot: SlotId) -> Option<SimTime> {
-        self.slots.get(slot.index()).copied().flatten()
-    }
-
-    /// The arbitration tie key for `slot` firing at `time`.
-    fn tie_key(&self, slot: u32, time: SimTime) -> u64 {
-        match self.policy {
-            ArbitrationPolicy::Deterministic => u64::from(slot),
-            ArbitrationPolicy::SeededShuffle(seed) => shuffle_key(seed, slot, time),
-        }
-    }
-
     /// Points `slot` at a new due time (or parks it with `None`). `O(1)`.
+    ///
+    /// A due time of [`SimTime::MAX`] parks the slot as well: it never
+    /// fires. No run reaches that instant — it is later than any
+    /// reachable time, debug builds panic on time overflow first, and
+    /// release builds get there only by saturating.
+    #[inline]
     pub fn retarget(&mut self, slot: SlotId, due: Option<SimTime>) {
         let i = slot.index();
-        debug_assert!(i < self.slots.len(), "retarget of an unregistered slot");
-        if let Some(s) = self.slots.get_mut(i) {
-            *s = due;
+        debug_assert!(i < self.due.len(), "retarget of an unregistered slot");
+        if let Some(d) = self.due.get_mut(i) {
+            *d = due.map_or(PARKED, SimTime::as_micros);
         }
     }
 
     /// The earliest due `(time, slot)` without popping it: the minimum
-    /// `(time, arbitration key)` over the slot table. Tie keys are only
-    /// computed for candidates that match the running minimum time, so
-    /// the common distinct-time scan costs one comparison per slot.
-    pub fn peek(&mut self) -> Option<(SimTime, SlotId)> {
-        if matches!(self.policy, ArbitrationPolicy::Deterministic) {
-            // Scanning in registration order with strict `<`, the first
-            // slot at the minimum time wins — exactly the Deterministic
-            // tie rule — for one comparison per slot.
-            let mut best: Option<(SimTime, u32)> = None;
-            for (i, s) in self.slots.iter().enumerate() {
-                let Some(at) = *s else { continue };
-                if best.is_none_or(|(bt, _)| at < bt) {
-                    best = Some((at, i as u32));
+    /// `(time, arbitration key)` over the slot table.
+    pub fn peek(&self) -> Option<(SimTime, SlotId)> {
+        let (at, i) = match self.policy {
+            // In registration order with strict `<`, the first slot at
+            // the minimum time wins — exactly the Deterministic tie rule.
+            // A parked slot holds `PARKED`, so every slot is compared the
+            // same way, with nothing to unwrap.
+            ArbitrationPolicy::Deterministic => {
+                let (mut best, mut idx) = (PARKED, 0);
+                for (i, &d) in self.due.iter().enumerate() {
+                    let lt = d < best;
+                    best = if lt { d } else { best };
+                    idx = if lt { i } else { idx };
                 }
+                (best, idx)
             }
-            return best.map(|(at, slot)| (at, SlotId(slot)));
-        }
-        let mut best: Option<(SimTime, u64, u32)> = None;
-        for (i, s) in self.slots.iter().enumerate() {
-            let Some(at) = *s else { continue };
-            if let Some((bt, bk, _)) = best {
-                if at > bt {
-                    continue;
+            // Tie keys are only computed for slots that match the running
+            // minimum time.
+            ArbitrationPolicy::SeededShuffle(seed) => {
+                let (mut best, mut best_key, mut idx) = (PARKED, 0, 0);
+                for (i, &d) in self.due.iter().enumerate() {
+                    if d == PARKED || d > best {
+                        continue;
+                    }
+                    let key = shuffle_key(seed, i as u32, SimTime::from_micros(d));
+                    if d < best || key < best_key {
+                        (best, best_key, idx) = (d, key, i);
+                    }
                 }
-                let key = self.tie_key(i as u32, at);
-                if at < bt || key < bk {
-                    best = Some((at, key, i as u32));
-                }
-            } else {
-                best = Some((at, self.tie_key(i as u32, at), i as u32));
+                (best, idx)
             }
-        }
-        best.map(|(at, _, slot)| (at, SlotId(slot)))
+        };
+        (at != PARKED).then_some((SimTime::from_micros(at), SlotId(i as u32)))
     }
 
     /// The earliest due time across all slots.
-    pub fn peek_time(&mut self) -> Option<SimTime> {
+    pub fn peek_time(&self) -> Option<SimTime> {
         self.peek().map(|(at, _)| at)
     }
 
@@ -207,7 +196,7 @@ impl Calendar {
     /// source is expected to handle the event and retarget itself.
     pub fn pop(&mut self) -> Option<(SimTime, SlotId)> {
         let (at, slot) = self.peek()?;
-        self.slots[slot.index()] = None;
+        self.due[slot.index()] = PARKED;
         Some((at, slot))
     }
 
@@ -217,22 +206,98 @@ impl Calendar {
         if at > t {
             return None;
         }
-        self.slots[slot.index()] = None;
+        self.due[slot.index()] = PARKED;
         Some((at, slot))
-    }
-
-    /// True when no slot is due.
-    pub fn is_empty(&mut self) -> bool {
-        self.slots.iter().all(Option::is_none)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn t(us: u64) -> SimTime {
         SimTime::from_micros(us)
+    }
+
+    /// The reference scan: the minimum `(time, tie key, slot)` over the
+    /// slots with a due time before [`SimTime::MAX`].
+    fn reference_head(
+        policy: ArbitrationPolicy,
+        due: &[Option<SimTime>],
+    ) -> Option<(SimTime, SlotId)> {
+        let tie_key = |i: usize, at: SimTime| match policy {
+            ArbitrationPolicy::Deterministic => i as u64,
+            ArbitrationPolicy::SeededShuffle(seed) => shuffle_key(seed, i as u32, at),
+        };
+        due.iter()
+            .enumerate()
+            .filter_map(|(i, d)| d.filter(|&at| at != SimTime::MAX).map(|at| (at, i)))
+            .min_by_key(|&(at, i)| (at, tie_key(i, at), i))
+            .map(|(at, i)| (at, SlotId(i as u32)))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Random sequences of retarget, pop, pop_due and peek_time over
+        /// 1–64 slots, under both policies, agree with the reference scan
+        /// at every step. Due times come from a narrow range, so ties are
+        /// common; `None` and `SimTime::MAX` both park a slot.
+        #[test]
+        fn calendar_matches_reference_scan(
+            slots in 1usize..65,
+            seed in any::<u64>(),
+            // (operation, slot, raw time): operation 0–1 retargets (raw
+            // time 20 parks with `None`, 21 targets `SimTime::MAX`), 2
+            // pops, 3 pops what is due by the raw time, 4 peeks.
+            ops in prop::collection::vec((0u8..5, 0usize..64, 0u64..22), 1..300),
+        ) {
+            for policy in [
+                ArbitrationPolicy::Deterministic,
+                ArbitrationPolicy::SeededShuffle(seed),
+            ] {
+                let mut cal = Calendar::new(policy);
+                let handles: Vec<SlotId> = (0..slots).map(|_| cal.register()).collect();
+                let mut model: Vec<Option<SimTime>> = vec![None; slots];
+                for &(op, raw_slot, raw) in &ops {
+                    let head = reference_head(policy, &model);
+                    match op {
+                        0 | 1 => {
+                            let s = raw_slot % slots;
+                            let due = match raw {
+                                20 => None,
+                                21 => Some(SimTime::MAX),
+                                _ => Some(t(raw)),
+                            };
+                            cal.retarget(handles[s], due);
+                            model[s] = due;
+                        }
+                        2 => {
+                            prop_assert_eq!(cal.pop(), head);
+                            if let Some((_, slot)) = head {
+                                model[slot.index()] = None;
+                            }
+                        }
+                        3 => {
+                            let due = head.filter(|&(at, _)| at <= t(raw));
+                            prop_assert_eq!(cal.pop_due(t(raw)), due);
+                            if let Some((_, slot)) = due {
+                                model[slot.index()] = None;
+                            }
+                        }
+                        _ => {
+                            prop_assert_eq!(cal.peek_time(), head.map(|(at, _)| at));
+                        }
+                    }
+                }
+                while let Some(head) = reference_head(policy, &model) {
+                    prop_assert_eq!(cal.pop(), Some(head));
+                    model[head.1.index()] = None;
+                }
+                prop_assert_eq!(cal.pop(), None);
+            }
+        }
     }
 
     #[test]
@@ -269,7 +334,7 @@ mod tests {
         cal.retarget(a, Some(t(5)));
         assert_eq!(cal.pop_due(t(4)), None);
         assert_eq!(cal.pop_due(t(5)), Some((t(5), a)));
-        assert_eq!(cal.due(a), None);
+        assert_eq!(cal.peek_time(), None);
     }
 
     #[test]

@@ -140,7 +140,7 @@ pub struct StorageSystem {
     cal: Calendar,
     node_slots: Vec<SlotId>,
     /// Mirror of the calendar head, so [`StorageSystem::next_event_time`]
-    /// stays a plain `&self` read.
+    /// reads a field instead of scanning the calendar.
     cached_next: Option<SimTime>,
     bytes_read: u64,
     bytes_written: u64,
