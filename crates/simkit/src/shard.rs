@@ -4,9 +4,9 @@
 //! owning a private [`Calendar`] and message inbox, and runs the shards in
 //! lock-step *epochs* of a fixed time window. Within an epoch every shard
 //! advances independently (optionally on parallel workers); at the epoch
-//! barrier all cross-component messages produced during the epoch are
-//! exchanged in one canonical order and the next epoch window is derived
-//! from the global minimum next-event time (empty windows are skipped, so
+//! barrier every message produced during the epoch is routed to its
+//! destination shard's inbox, and the next epoch window is derived from
+//! the global minimum next-event time (empty windows are skipped, so
 //! sparse scenes do not pay per-window cost).
 //!
 //! # Determinism
@@ -71,7 +71,7 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Barrier, Mutex};
+use std::sync::{Barrier, Mutex, MutexGuard, PoisonError};
 
 use crate::kernel::{ArbitrationPolicy, Calendar, SlotId};
 use crate::{SimDuration, SimTime};
@@ -223,7 +223,7 @@ pub enum ShardError {
     NoShards,
     /// The epoch window must be a positive duration.
     ZeroWindow,
-    /// `add` named a shard index outside `0..shard_count`.
+    /// `add` named a shard index outside `0..shards`.
     UnknownShard {
         /// The out-of-range shard index.
         shard: usize,
@@ -447,13 +447,11 @@ impl<M, C: ShardComponent<M>> Shard<M, C> {
     }
 
     /// Earliest pending work on this shard (tick or queued delivery).
-    fn next_time(&mut self) -> Option<SimTime> {
-        let msg = self.inbox.peek().map(|Reverse(e)| e.at);
-        let tick = self.cal.peek_time();
-        match (msg, tick) {
-            (Some(m), Some(t)) => Some(m.min(t)),
-            (m, t) => m.or(t),
-        }
+    fn next_time(&self) -> Option<SimTime> {
+        earliest(
+            self.inbox.peek().map(|Reverse(e)| e.at),
+            self.cal.peek_time(),
+        )
     }
 
     /// Runs every event strictly before `end`, messages first on ties.
@@ -555,17 +553,100 @@ impl<M, C: ShardComponent<M>> Shard<M, C> {
     }
 }
 
-/// Envelopes grouped by destination shard plus their minimum delivery
-/// time, as produced by the barrier exchange.
-type RoutedEnvelopes<M> = (Vec<Vec<Envelope<M>>>, Option<SimTime>);
+/// Shutdown value of the shared epoch end. Every real epoch end is at
+/// least one window past zero, so it never names an epoch.
+const SHUTDOWN: u64 = 0;
 
-/// Mailbox shared between the coordinator and one worker thread.
-struct WorkerSlot<M> {
-    /// Messages routed to this worker's shards, absorbed at epoch start.
-    incoming: Mutex<Vec<Envelope<M>>>,
-    /// This worker's epoch products: collected outboxes and the minimum
-    /// next-event time across its shards after the epoch ran.
+/// Mailbox shared between the coordinator and one worker.
+struct Mailbox<M> {
+    /// Envelopes routed to this worker's shards, absorbed at the next
+    /// epoch start or at shutdown.
+    routed: Mutex<Vec<Envelope<M>>>,
+    /// This worker's last epoch step: its shards' outboxes and their
+    /// earliest pending time.
     report: Mutex<(Vec<Envelope<M>>, Option<SimTime>)>,
+}
+
+/// Locks a mailbox field. A panic elsewhere cannot leave a `Vec` of
+/// envelopes half-updated, so a poisoned lock is still safe to use.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// The earlier of two optional times.
+fn earliest(a: Option<SimTime>, b: Option<SimTime>) -> Option<SimTime> {
+    match (a, b) {
+        (Some(a), Some(b)) => Some(a.min(b)),
+        (a, b) => a.or(b),
+    }
+}
+
+/// One worker's epoch step over its `lane` (shards `s` with
+/// `s % workers == w`, in shard order). Absorbs the envelopes routed to
+/// the lane; then, unless `end` is [`SHUTDOWN`], runs each shard to `end`
+/// and reports the outboxes and the earliest pending time. Returns
+/// whether an epoch ran.
+fn step<M, C: ShardComponent<M>>(
+    lane: &mut [&mut Shard<M, C>],
+    mailbox: &Mailbox<M>,
+    workers: usize,
+    end: u64,
+) -> bool {
+    for env in lock(&mailbox.routed).drain(..) {
+        lane[env.dst_shard as usize / workers]
+            .inbox
+            .push(Reverse(env));
+    }
+    if end == SHUTDOWN {
+        return false;
+    }
+    let end = SimTime::from_micros(end);
+    let mut out = Vec::new();
+    let mut next = None;
+    for shard in lane.iter_mut() {
+        shard.run_epoch(end);
+        out.append(&mut shard.outbox);
+        next = earliest(next, shard.next_time());
+    }
+    *lock(&mailbox.report) = (out, next);
+    true
+}
+
+/// Routes every worker's reported outboxes into the mailboxes of the
+/// workers that own their destinations, after checking the lookahead
+/// contract and the destination slot. Returns the earliest pending time
+/// across the scene, routed envelopes included.
+fn route<M>(
+    mailboxes: &[Mailbox<M>],
+    index: &[(u32, u32)],
+    epoch_end: SimTime,
+) -> Result<Option<SimTime>, ShardError> {
+    let mut routed: Vec<_> = mailboxes.iter().map(|m| lock(&m.routed)).collect();
+    let mut next = None;
+    for mailbox in mailboxes {
+        let (out, pending) = std::mem::take(&mut *lock(&mailbox.report));
+        next = earliest(next, pending);
+        for mut env in out {
+            if env.at < epoch_end {
+                return Err(ShardError::LookaheadViolation {
+                    src: env.src,
+                    at: env.at,
+                    epoch_end,
+                });
+            }
+            let Some(&(s, l)) = index.get(env.dst as usize) else {
+                return Err(ShardError::UnknownSlot {
+                    src: env.src,
+                    dst: env.dst,
+                });
+            };
+            env.dst_shard = s;
+            env.dst_local = l;
+            next = earliest(next, Some(env.at));
+            routed[s as usize % mailboxes.len()].push(env);
+        }
+    }
+    Ok(next)
 }
 
 /// The sharded epoch-barrier kernel. See the [module docs](self) for the
@@ -630,12 +711,6 @@ impl<M: Send, C: ShardComponent<M>> ShardedKernel<M, C> {
         Ok(global)
     }
 
-    /// The epoch window.
-    #[must_use]
-    pub fn window(&self) -> SimDuration {
-        self.window
-    }
-
     /// Turns on per-shard observability: every shard starts recording
     /// its event log and per-epoch deltas (see [`ShardObs`]). Purely
     /// additive — the simulated outcome is bitwise identical with the
@@ -659,12 +734,6 @@ impl<M: Send, C: ShardComponent<M>> ShardedKernel<M, C> {
                 None => ShardObs::default(),
             })
             .collect()
-    }
-
-    /// Number of shards.
-    #[must_use]
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
     }
 
     /// Number of registered components.
@@ -695,63 +764,78 @@ impl<M: Send, C: ShardComponent<M>> ShardedKernel<M, C> {
             .collect()
     }
 
-    /// End of the grid-aligned epoch cell containing `t`.
-    fn cell_end(&self, t: SimTime) -> SimTime {
-        let w = self.window.as_micros().max(1);
-        let cell = t.as_micros() / w;
-        SimTime::from_micros(cell.saturating_add(1).saturating_mul(w))
-    }
-
-    /// Routes one epoch's collected envelopes: verifies the lookahead
-    /// contract, resolves destination shard/local indices, and returns
-    /// the envelopes grouped by destination shard along with the minimum
-    /// delivery time.
-    fn route(
-        &self,
-        collected: Vec<Envelope<M>>,
-        epoch_end: SimTime,
-    ) -> Result<RoutedEnvelopes<M>, ShardError> {
-        let mut per_shard: Vec<Vec<Envelope<M>>> = Vec::with_capacity(self.shards.len());
-        per_shard.resize_with(self.shards.len(), Vec::new);
-        let mut min_at: Option<SimTime> = None;
-        for mut env in collected {
-            if env.at < epoch_end {
-                return Err(ShardError::LookaheadViolation {
-                    src: env.src,
-                    at: env.at,
-                    epoch_end,
-                });
-            }
-            let Some(&(s, l)) = self.index.get(env.dst as usize) else {
-                return Err(ShardError::UnknownSlot {
-                    src: env.src,
-                    dst: env.dst,
-                });
-            };
-            env.dst_shard = s;
-            env.dst_local = l;
-            min_at = Some(min_at.map_or(env.at, |m| m.min(env.at)));
-            per_shard[s as usize].push(env);
-        }
-        Ok((per_shard, min_at))
-    }
-
     /// Runs the scene until it is quiescent or the next event time
     /// exceeds `horizon` (pass [`SimTime::MAX`] to run to quiescence;
-    /// a mid-window horizon still finishes its epoch window).
+    /// a mid-window horizon still finishes its epoch window). Messages
+    /// routed for a later epoch stay queued for the next call.
     ///
-    /// `jobs` is the worker count: `0` means the process-wide
-    /// [`crate::pool::jobs`] setting, `1` runs inline, larger values run
-    /// shards on that many persistent worker threads. The result is
-    /// bitwise identical for every `jobs` value.
+    /// `jobs` is the worker count, clamped to `1..=shards`. The calling
+    /// thread is worker 0: it runs shards `s % jobs == 0` and coordinates,
+    /// while `jobs - 1` scoped helper threads run the rest and meet it at
+    /// a barrier twice per epoch (start the epoch; every report is
+    /// published). The result is bitwise identical for every `jobs`
+    /// value.
     pub fn run(&mut self, jobs: usize, horizon: SimTime) -> Result<ShardRunStats, ShardError> {
-        let jobs = if jobs == 0 { crate::pool::jobs() } else { jobs };
         let workers = jobs.min(self.shards.len()).max(1);
-        let epochs = if workers <= 1 {
-            self.run_inline(horizon)?
-        } else {
-            self.run_threaded(workers, horizon)?
-        };
+        let window = self.window.as_micros();
+        let index = &self.index;
+        let mut next = self.shards.iter().filter_map(Shard::next_time).min();
+        let mut lanes: Vec<Vec<&mut Shard<M, C>>> = Vec::new();
+        lanes.resize_with(workers, Vec::new);
+        for (i, s) in self.shards.iter_mut().enumerate() {
+            lanes[i % workers].push(s);
+        }
+        let mailboxes: Vec<Mailbox<M>> = (0..workers)
+            .map(|_| Mailbox {
+                routed: Mutex::default(),
+                report: Mutex::default(),
+            })
+            .collect();
+        let epoch_end = AtomicU64::new(SHUTDOWN);
+        let barrier = Barrier::new(workers);
+
+        let epochs = std::thread::scope(|scope| {
+            let mut lanes = lanes.into_iter();
+            let mut own = lanes.next().unwrap_or_default();
+            for (mut lane, mailbox) in lanes.zip(&mailboxes[1..]) {
+                let (barrier, epoch_end) = (&barrier, &epoch_end);
+                scope.spawn(move || loop {
+                    barrier.wait();
+                    let end = epoch_end.load(Ordering::SeqCst);
+                    if !step(&mut lane, mailbox, workers, end) {
+                        break;
+                    }
+                    barrier.wait();
+                });
+            }
+
+            let mut epochs = 0u64;
+            let result = loop {
+                let Some(t) = next.filter(|&t| t <= horizon) else {
+                    break Ok(epochs);
+                };
+                // End of the grid-aligned epoch cell containing `t`.
+                let end = (t.as_micros() / window)
+                    .saturating_add(1)
+                    .saturating_mul(window);
+                epoch_end.store(end, Ordering::SeqCst);
+                barrier.wait();
+                step(&mut own, &mailboxes[0], workers, end);
+                barrier.wait();
+                epochs += 1;
+                match route(&mailboxes, index, SimTime::from_micros(end)) {
+                    Ok(t) => next = t,
+                    Err(e) => break Err(e),
+                }
+            };
+            // Every exit path, errors included, releases the helpers;
+            // each worker absorbs its routed envelopes on the way out.
+            epoch_end.store(SHUTDOWN, Ordering::SeqCst);
+            barrier.wait();
+            step(&mut own, &mailboxes[0], workers, SHUTDOWN);
+            result
+        })?;
+
         let mut stats = ShardRunStats {
             epochs,
             ..ShardRunStats::default()
@@ -763,187 +847,6 @@ impl<M: Send, C: ShardComponent<M>> ShardedKernel<M, C> {
             stats.trace_hash = mix(stats.trace_hash, s.trace_hash);
         }
         Ok(stats)
-    }
-
-    /// Single-worker epoch loop; no threads, same exchange protocol.
-    fn run_inline(&mut self, horizon: SimTime) -> Result<u64, ShardError> {
-        let mut epochs = 0u64;
-        loop {
-            let next = self.shards.iter_mut().filter_map(Shard::next_time).min();
-            let Some(t) = next else { break };
-            if t > horizon {
-                break;
-            }
-            let end = self.cell_end(t);
-            for s in &mut self.shards {
-                s.run_epoch(end);
-            }
-            epochs += 1;
-            let mut collected = Vec::new();
-            for s in &mut self.shards {
-                collected.append(&mut s.outbox);
-            }
-            let (per_shard, _) = self.route(collected, end)?;
-            for (s, envs) in self.shards.iter_mut().zip(per_shard) {
-                for env in envs {
-                    s.inbox.push(Reverse(env));
-                }
-            }
-        }
-        Ok(epochs)
-    }
-
-    /// Multi-worker epoch loop: persistent scoped threads, two barrier
-    /// crossings per epoch (start work / collect results).
-    fn run_threaded(&mut self, workers: usize, horizon: SimTime) -> Result<u64, ShardError> {
-        // Shard i runs on worker i % workers at position i / workers;
-        // the coordinator routes messages with the same arithmetic.
-        let mut initial = self.shards.iter_mut().filter_map(Shard::next_time).min();
-        let index = std::mem::take(&mut self.index);
-        let window = self.window;
-        let cell_end = |t: SimTime| {
-            let w = window.as_micros().max(1);
-            SimTime::from_micros((t.as_micros() / w).saturating_add(1).saturating_mul(w))
-        };
-
-        let mut assigned: Vec<Vec<&mut Shard<M, C>>> = Vec::with_capacity(workers);
-        assigned.resize_with(workers, Vec::new);
-        for (i, s) in self.shards.iter_mut().enumerate() {
-            assigned[i % workers].push(s);
-        }
-
-        let slots: Vec<WorkerSlot<M>> = (0..workers)
-            .map(|_| WorkerSlot {
-                incoming: Mutex::new(Vec::new()),
-                report: Mutex::new((Vec::new(), None)),
-            })
-            .collect();
-        // Epoch end in micros; u64::MAX is the shutdown signal.
-        let epoch_end = AtomicU64::new(0);
-        let barrier = Barrier::new(workers + 1);
-
-        let mut epochs = 0u64;
-        let mut run_err: Option<ShardError> = None;
-
-        std::thread::scope(|scope| {
-            for (w, mine) in assigned.into_iter().enumerate() {
-                let slot = &slots[w];
-                let barrier = &barrier;
-                let epoch_end = &epoch_end;
-                let mut mine = mine;
-                scope.spawn(move || loop {
-                    barrier.wait();
-                    let end = epoch_end.load(Ordering::SeqCst);
-                    if end == u64::MAX {
-                        break;
-                    }
-                    let end = SimTime::from_micros(end);
-                    {
-                        let mut inc = slot
-                            .incoming
-                            .lock()
-                            .unwrap_or_else(std::sync::PoisonError::into_inner);
-                        for env in inc.drain(..) {
-                            let pos = (env.dst_shard as usize) / workers;
-                            mine[pos].inbox.push(Reverse(env));
-                        }
-                    }
-                    let mut out = Vec::new();
-                    let mut next: Option<SimTime> = None;
-                    for shard in mine.iter_mut() {
-                        shard.run_epoch(end);
-                        out.append(&mut shard.outbox);
-                        if let Some(t) = shard.next_time() {
-                            next = Some(next.map_or(t, |n| n.min(t)));
-                        }
-                    }
-                    {
-                        let mut rep = slot
-                            .report
-                            .lock()
-                            .unwrap_or_else(std::sync::PoisonError::into_inner);
-                        *rep = (out, next);
-                    }
-                    barrier.wait();
-                });
-            }
-
-            // Coordinator loop.
-            while let Some(t) = initial {
-                if t > horizon {
-                    break;
-                }
-                let end = cell_end(t);
-                epoch_end.store(end.as_micros(), Ordering::SeqCst);
-                barrier.wait(); // workers absorb + run the epoch
-                barrier.wait(); // workers published their reports
-                epochs += 1;
-
-                let mut collected = Vec::new();
-                let mut min_next: Option<SimTime> = None;
-                for slot in &slots {
-                    let mut rep = slot
-                        .report
-                        .lock()
-                        .unwrap_or_else(std::sync::PoisonError::into_inner);
-                    let (out, next) = std::mem::take(&mut *rep);
-                    collected.extend(out);
-                    if let Some(t) = next {
-                        min_next = Some(min_next.map_or(t, |n| n.min(t)));
-                    }
-                }
-                let mut min_routed: Option<SimTime> = None;
-                let mut routed: Vec<Vec<Envelope<M>>> = Vec::with_capacity(workers);
-                routed.resize_with(workers, Vec::new);
-                let mut failed = None;
-                for mut env in collected {
-                    if env.at < end {
-                        failed = Some(ShardError::LookaheadViolation {
-                            src: env.src,
-                            at: env.at,
-                            epoch_end: end,
-                        });
-                        break;
-                    }
-                    let Some(&(s, l)) = index.get(env.dst as usize) else {
-                        failed = Some(ShardError::UnknownSlot {
-                            src: env.src,
-                            dst: env.dst,
-                        });
-                        break;
-                    };
-                    env.dst_shard = s;
-                    env.dst_local = l;
-                    min_routed = Some(min_routed.map_or(env.at, |m| m.min(env.at)));
-                    routed[(s as usize) % workers].push(env);
-                }
-                if let Some(e) = failed {
-                    run_err = Some(e);
-                    break;
-                }
-                for (slot, envs) in slots.iter().zip(routed) {
-                    if !envs.is_empty() {
-                        let mut inc = slot
-                            .incoming
-                            .lock()
-                            .unwrap_or_else(std::sync::PoisonError::into_inner);
-                        inc.extend(envs);
-                    }
-                }
-                initial = match (min_next, min_routed) {
-                    (Some(a), Some(b)) => Some(a.min(b)),
-                    (a, b) => a.or(b),
-                };
-            }
-            epoch_end.store(u64::MAX, Ordering::SeqCst);
-            barrier.wait();
-        });
-
-        self.index = index;
-        match run_err {
-            Some(e) => Err(e),
-            None => Ok(epochs),
-        }
     }
 }
 
@@ -1164,17 +1067,39 @@ mod tests {
             }
             fn on_message(&mut self, _n: SimTime, _m: u32, _c: &mut ShardCtx<'_, u32>) {}
         }
-        let mut k = ShardedKernel::new(1, HOP).unwrap();
-        k.add(
-            0,
-            Wild {
-                start: Some(SimTime::ZERO),
-            },
-        )
-        .unwrap();
-        match k.run(1, SimTime::MAX) {
-            Err(ShardError::UnknownSlot { dst, .. }) => assert_eq!(dst, 999),
-            other => panic!("expected unknown slot, got {other:?}"),
+        // Two shards on two or more workers raise the error while helper
+        // threads wait at the barrier; the run must still return it.
+        for (shards, jobs) in [(1usize, 1usize), (2, 2), (2, 8)] {
+            let mut k = ShardedKernel::new(shards, HOP).unwrap();
+            for shard in 0..shards {
+                k.add(
+                    shard,
+                    Wild {
+                        start: Some(SimTime::ZERO),
+                    },
+                )
+                .unwrap();
+            }
+            match k.run(jobs, SimTime::MAX) {
+                Err(ShardError::UnknownSlot { dst, .. }) => assert_eq!(dst, 999),
+                other => panic!("expected unknown slot at jobs={jobs}, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn horizon_keeps_messages_in_flight() {
+        // A run stopped at a horizon leaves messages routed for later
+        // epochs queued; the next run delivers them, so every component
+        // ends with the receive log of one uninterrupted run.
+        let mut whole = build_ring(4, 16, 8);
+        whole.run(1, SimTime::MAX).unwrap();
+        let expect = fingerprint(&whole);
+        for jobs in [1usize, 2, 3, 8] {
+            let mut k = build_ring(4, 16, 8);
+            k.run(jobs, SimTime::from_micros(3_000)).unwrap();
+            k.run(jobs, SimTime::MAX).unwrap();
+            assert_eq!(fingerprint(&k), expect, "logs diverged at jobs={jobs}");
         }
     }
 
