@@ -3,7 +3,6 @@
 use sdds_disk::EnergyAccount;
 use sdds_power::PolicyKind;
 use simkit::hash::FxHashMap;
-use simkit::kernel::{Calendar, SlotId};
 use simkit::stats::{BucketHistogram, DurationHistogram};
 use simkit::SimTime;
 
@@ -133,14 +132,9 @@ pub struct StorageSystem {
     /// (node index, node op id) -> access.
     op_owner: FxHashMap<(usize, u64), AccessId>,
     completions: Vec<AccessCompletion>,
-    /// Unified calendar with one slot per node, retargeted whenever a
-    /// node's schedule can change (submit / advance / finish). Its head
-    /// is the array's next event time; arbitration order is irrelevant
-    /// here because [`StorageSystem::advance_to`] advances every node.
-    cal: Calendar,
-    node_slots: Vec<SlotId>,
-    /// Mirror of the calendar head, so [`StorageSystem::next_event_time`]
-    /// reads a field instead of scanning the calendar.
+    /// The earliest of the nodes' next event times, refreshed whenever
+    /// a node's schedule can change (submit / advance / finish), so
+    /// [`StorageSystem::next_event_time`] reads a field.
     cached_next: Option<SimTime>,
     bytes_read: u64,
     bytes_written: u64,
@@ -157,8 +151,6 @@ impl StorageSystem {
         let nodes = (0..config.layout.io_nodes())
             .map(|i| IoNode::new(i, &config.node))
             .collect::<Result<Vec<_>, _>>()?;
-        let mut cal = Calendar::new(config.node.arbitration);
-        let node_slots = nodes.iter().map(|_| cal.register()).collect();
         Ok(StorageSystem {
             layout: config.layout,
             nodes,
@@ -166,8 +158,6 @@ impl StorageSystem {
             pending: FxHashMap::default(),
             op_owner: FxHashMap::default(),
             completions: Vec::new(),
-            cal,
-            node_slots,
             cached_next: None,
             bytes_read: 0,
             bytes_written: 0,
@@ -242,9 +232,7 @@ impl StorageSystem {
         // One piece per stripe, and distinct stripes of a file land on
         // distinct (node, local block) pairs, so every piece is its own
         // node-level block op.
-        let mut touched = NodeSet::EMPTY;
         for (node_idx, local_block, _off, _len) in pieces {
-            touched.insert(node_idx);
             let key = (access.file, local_block);
             // The access id rides along so issue-anchored trace events can
             // parent-link member requests to this access's span.
@@ -271,15 +259,7 @@ impl StorageSystem {
         // Surface anything the member disks completed while advancing to
         // the submission time, so no completion lingers into the past.
         self.collect();
-        // Only the touched nodes advanced, so only their schedules can
-        // have changed; retargeting is a no-op for the rest.
-        for node_idx in touched.iter() {
-            self.cal.retarget(
-                self.node_slots[node_idx],
-                self.nodes[node_idx].next_event_time(),
-            );
-        }
-        self.cached_next = self.cal.peek_time();
+        self.refresh_next();
         id
     }
 
@@ -292,13 +272,14 @@ impl StorageSystem {
     ///
     /// All nodes advance together (energy accrual is a float sum, so the
     /// slicing of advances must not depend on which node fires first);
-    /// the calendar only supplies the next instant to advance to.
+    /// [`StorageSystem::next_event_time`] only supplies the next instant
+    /// to advance to.
     pub fn advance_to(&mut self, t: SimTime) {
         for node in &mut self.nodes {
             node.advance_to(t);
         }
         self.collect();
-        self.retarget_all();
+        self.refresh_next();
     }
 
     /// Ends the simulation at `t`.
@@ -307,7 +288,7 @@ impl StorageSystem {
             node.finish(t);
         }
         self.collect();
-        self.retarget_all();
+        self.refresh_next();
     }
 
     /// Removes and returns completed accesses.
@@ -406,14 +387,10 @@ impl StorageSystem {
         }
     }
 
-    fn retarget_all(&mut self) {
-        // Each node's next_event_time is a cached field, and retargeting
-        // an unchanged due time is a no-op, so this is one cheap
-        // O(nodes) pass.
-        for (node, slot) in self.nodes.iter().zip(&self.node_slots) {
-            self.cal.retarget(*slot, node.next_event_time());
-        }
-        self.cached_next = self.cal.peek_time();
+    fn refresh_next(&mut self) {
+        // Each node's next_event_time reads cached fields, so this is one
+        // cheap O(nodes) pass.
+        self.cached_next = self.nodes.iter().filter_map(IoNode::next_event_time).min();
     }
 }
 
