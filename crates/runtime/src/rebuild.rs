@@ -29,7 +29,6 @@
 //! `route_digest` over every routing decision), independent of the
 //! worker-pool size.
 
-use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
 use std::hash::Hasher;
@@ -41,7 +40,7 @@ use simkit::fault::{DiskFaultProfile, FaultPlan, FaultSpec, FaultSpecError};
 use simkit::hash::FxHasher;
 use simkit::kernel::{ArbitrationPolicy, Calendar};
 use simkit::telemetry::{TraceEvent, TraceSink};
-use simkit::{DetRng, SimDuration, SimTime};
+use simkit::{DetRng, EventQueue, SimDuration, SimTime};
 
 /// Fixed per-request positioning overhead (seek + rotation), microseconds.
 const SEEK_OVERHEAD_US: u64 = 2_000;
@@ -388,10 +387,9 @@ pub fn run_rebuild(
     let arrivals_slot = cal.register();
     let rebuild_slot = cal.register();
 
-    // Pending completions, ordered by (time, insertion seq) so
-    // same-instant completions apply in issue order.
-    let mut completions: BTreeMap<(SimTime, u64), (usize, u64)> = BTreeMap::new();
-    let mut completion_seq = 0u64;
+    // Pending (disk, service µs) completions; same-instant completions
+    // apply in issue order.
+    let mut completions: EventQueue<(usize, u64)> = EventQueue::new();
 
     if params.inject_failure {
         cal.retarget(failure_slot, Some(params.fail_at));
@@ -447,11 +445,10 @@ pub fn run_rebuild(
         if slot == completions_slot {
             // Apply the earliest pending completion; same-instant
             // completions re-arm the slot at the same time.
-            if let Some((&key, &(disk, resp_us))) = completions.iter().next() {
-                completions.remove(&key);
+            if let Some((_, (disk, resp_us))) = completions.pop() {
                 router.observe(disk, resp_us);
             }
-            cal.retarget(completions_slot, completions.keys().next().map(|k| k.0));
+            cal.retarget(completions_slot, completions.peek_time());
         } else if slot == failure_slot {
             // The member dies: retire it from the power model, promote
             // the spare, and queue every replica it held for rebuild.
@@ -545,9 +542,8 @@ pub fn run_rebuild(
                 // The EWMA learns intrinsic member speed (pure service,
                 // straggler-stretched); queueing and spin state are
                 // charged live by `arrival_cost` at decision time.
-                completions.insert((o.done, completion_seq), (chosen, o.service.as_micros()));
-                completion_seq += 1;
-                cal.retarget(completions_slot, completions.keys().next().map(|k| k.0));
+                completions.schedule(o.done, (chosen, o.service.as_micros()));
+                cal.retarget(completions_slot, completions.peek_time());
                 if let Some(s) = sink.as_deref_mut() {
                     s.record(TraceEvent::ReplicaRoute {
                         at: t,
@@ -573,10 +569,9 @@ pub fn run_rebuild(
                     let o = scene.serve_traced(d, serve_at, SimDuration::from_micros(work));
                     out.bytes_written += bytes;
                     end = end.max(o.done);
-                    completions.insert((o.done, completion_seq), (d, o.service.as_micros()));
-                    completion_seq += 1;
+                    completions.schedule(o.done, (d, o.service.as_micros()));
                 }
-                cal.retarget(completions_slot, completions.keys().next().map(|k| k.0));
+                cal.retarget(completions_slot, completions.peek_time());
                 if degraded[obj] {
                     degraded[obj] = false;
                 }
