@@ -302,12 +302,6 @@ impl Disk {
         self.outstanding
     }
 
-    /// Number of requests waiting in the queue (excludes the one in
-    /// service).
-    pub fn queue_len(&self) -> usize {
-        self.queue.len()
-    }
-
     /// Accumulated energy account.
     pub fn energy(&self) -> &EnergyAccount {
         &self.energy

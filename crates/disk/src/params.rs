@@ -41,11 +41,6 @@ impl Rpm {
         // 60 s/min => period_us = 60e6 / rpm.
         SimDuration::from_micros(60_000_000 / self.0 as u64)
     }
-
-    /// Ratio of this speed to `full`, in `(0, 1]` for sub-full speeds.
-    pub fn fraction_of(self, full: Rpm) -> f64 {
-        self.0 as f64 / full.0 as f64
-    }
 }
 
 impl std::fmt::Display for Rpm {

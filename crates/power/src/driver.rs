@@ -286,11 +286,6 @@ impl PoweredArray {
         total
     }
 
-    /// The policy's display name.
-    pub fn policy_name(&self) -> &'static str {
-        self.policy.name()
-    }
-
     /// The next instant at which this node needs attention (a disk phase
     /// boundary or the policy timer), if any.
     pub fn next_event_time(&self) -> Option<SimTime> {

@@ -239,15 +239,6 @@ impl DiskFaultProfile {
         }
     }
 
-    /// Returns `true` when this profile can inject at least one fault
-    /// or slowdown (used to skip installation entirely otherwise).
-    pub fn is_active(&self) -> bool {
-        !self.bad_sectors.is_empty()
-            || self.slow_factor > 1.0
-            || !self.crash_windows.is_empty()
-            || self.transient_rate > 0.0
-    }
-
     /// If the disk is crashed at `t`, returns the recovery time (the
     /// end of the containing window); otherwise `None`.
     pub fn crashed_at(&self, t: SimTime) -> Option<SimTime> {
@@ -558,13 +549,6 @@ mod tests {
         assert_eq!(profile.crashed_at(t(12)), None);
         assert_eq!(profile.crashed_at(t(24)), Some(t(25)));
         assert_eq!(profile.crashed_at(t(30)), None);
-    }
-
-    #[test]
-    fn none_profile_is_inactive() {
-        assert!(!DiskFaultProfile::none().is_active());
-        let plan = FaultPlan::generate(&FaultSpec::heavy(3), 1, 1, 1_000);
-        assert!(plan.node(0)[0].is_active());
     }
 
     #[test]

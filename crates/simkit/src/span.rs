@@ -190,15 +190,6 @@ impl SpanForest {
         self.requests.iter().map(|r| r.energy_nj).sum()
     }
 
-    /// Number of recovery spans (retries past the first attempt plus
-    /// reconstruction traffic).
-    pub fn recovery_spans(&self) -> usize {
-        self.requests
-            .iter()
-            .filter(|r| r.recovery || r.attempt > 0)
-            .count()
-    }
-
     /// Serializes the forest as one deterministic JSON document: access
     /// roots with their member requests nested, unparented (prefetch)
     /// spans in a trailing array.
@@ -445,7 +436,6 @@ mod tests {
         assert_eq!(forest.requests.len(), 3);
         assert_eq!(forest.accesses[0].end, Some(t(70)));
         assert_eq!(forest.total_energy_nj(), 2_000);
-        assert_eq!(forest.recovery_spans(), 0);
         let json = forest.to_json();
         assert!(json.starts_with("{\"accesses\":["));
         assert!(json.contains("\"unparented\":[{\"node\":0,\"disk\":2,\"id\":3"));
@@ -478,7 +468,6 @@ mod tests {
         assert_eq!(forest.requests[0].faults, 1);
         assert!(!forest.requests[0].completed());
         assert_eq!(forest.requests[1].attempt, 1);
-        assert_eq!(forest.recovery_spans(), 1);
     }
 
     #[test]

@@ -410,27 +410,6 @@ impl DurationHistogram {
     }
 }
 
-/// Relative change `(new - old) / old`, in percent. Positive means `new` is
-/// larger.
-///
-/// # Panics
-///
-/// Panics if `old` is zero.
-pub fn percent_change(old: f64, new: f64) -> f64 {
-    assert!(old != 0.0, "percent change from zero is undefined");
-    (new - old) / old * 100.0
-}
-
-/// Normalizes `value` against `baseline`, in percent (100.0 = equal).
-///
-/// # Panics
-///
-/// Panics if `baseline` is zero.
-pub fn normalized_percent(baseline: f64, value: f64) -> f64 {
-    assert!(baseline != 0.0, "cannot normalize against zero");
-    value / baseline * 100.0
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -573,11 +552,5 @@ mod tests {
         b.record(SimDuration::from_secs(2));
         a.merge(&b);
         assert_eq!(a.total(), SimDuration::from_secs(3));
-    }
-
-    #[test]
-    fn percent_helpers() {
-        assert!((percent_change(200.0, 100.0) + 50.0).abs() < 1e-12);
-        assert!((normalized_percent(200.0, 100.0) - 50.0).abs() < 1e-12);
     }
 }

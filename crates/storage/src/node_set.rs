@@ -124,16 +124,6 @@ impl NodeSet {
     pub fn iter(self) -> impl Iterator<Item = usize> {
         (0..Self::MAX_NODES).filter(move |&n| self.contains(n))
     }
-
-    /// The raw bit pattern.
-    pub fn bits(self) -> u64 {
-        self.0
-    }
-
-    /// Constructs from a raw bit pattern.
-    pub fn from_bits(bits: u64) -> Self {
-        NodeSet(bits)
-    }
 }
 
 impl FromIterator<usize> for NodeSet {
@@ -213,12 +203,6 @@ mod tests {
     fn collect_from_iterator() {
         let s: NodeSet = [5usize, 7, 5].into_iter().collect();
         assert_eq!(s.len(), 2);
-    }
-
-    #[test]
-    fn bits_round_trip() {
-        let s = NodeSet::from_nodes([1, 5]);
-        assert_eq!(NodeSet::from_bits(s.bits()), s);
     }
 
     #[test]
