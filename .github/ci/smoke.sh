@@ -99,19 +99,22 @@ EOF
 
   scale)
     # The sharded kernel's determinism contract, enforced end to end: the
-    # same large scene at two worker counts must produce byte-identical
+    # same large scene at three worker counts must produce byte-identical
     # digest files (separate processes, so the comparison also covers
     # process-level nondeterminism), and the scale report with speedups
-    # is kept as an artifact.
-    repro scale --scales 25 --jobs-list 2 --repeat 1 --no-baseline \
-      --digest out/scale-digest-j2.txt
-    repro scale --scales 25 --jobs-list 8 --repeat 1 --no-baseline \
-      --digest out/scale-digest-j8.txt
-    cmp out/scale-digest-j2.txt out/scale-digest-j8.txt || {
-      echo "scale digests diverged between 2 and 8 workers" >&2
-      exit 1
-    }
-    echo "scale 25: byte-identical at 2 and 8 workers"
+    # is kept as an artifact. One worker is the epoch loop with no helper
+    # threads, so it is compared too.
+    for jobs in 1 2 8; do
+      repro scale --scales 25 --jobs-list "$jobs" --repeat 1 --no-baseline \
+        --digest "out/scale-digest-j$jobs.txt"
+    done
+    for jobs in 1 8; do
+      cmp out/scale-digest-j2.txt "out/scale-digest-j$jobs.txt" || {
+        echo "scale digests diverged between 2 and $jobs workers" >&2
+        exit 1
+      }
+    done
+    echo "scale 25: byte-identical at 1, 2 and 8 workers"
     repro scale --scales 25 --jobs-list 1,4 --repeat 1 \
       --out out/scale-smoke.json
     ;;
