@@ -621,7 +621,12 @@ fn route<M>(
     index: &[(u32, u32)],
     epoch_end: SimTime,
 ) -> Result<Option<SimTime>, ShardError> {
-    let mut routed: Vec<_> = mailboxes.iter().map(|m| lock(&m.routed)).collect();
+    // Fresh vectors each epoch, not one buffer per mailbox kept for the
+    // whole run: with the kept buffer, glibc's heap was laid out so that
+    // the next scene build took about four times the page faults
+    // (perfbench `dc-scene-1shard` `setup_s` +60 %).
+    let mut routed: Vec<Vec<Envelope<M>>> = Vec::new();
+    routed.resize_with(mailboxes.len(), Vec::new);
     let mut next = None;
     for mailbox in mailboxes {
         let (out, pending) = std::mem::take(&mut *lock(&mailbox.report));
@@ -645,6 +650,9 @@ fn route<M>(
             next = earliest(next, Some(env.at));
             routed[s as usize % mailboxes.len()].push(env);
         }
+    }
+    for (mailbox, envs) in mailboxes.iter().zip(routed) {
+        *lock(&mailbox.routed) = envs;
     }
     Ok(next)
 }
