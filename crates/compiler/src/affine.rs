@@ -2,7 +2,7 @@
 //!
 //! File-access functions in the IR are affine combinations of enclosing
 //! loop indices, the process identifier `p`, and a constant — the class of
-//! references the paper's polyhedral path (the Omega library) handles.
+//! references the paper analyzes with the Omega library.
 
 use std::collections::BTreeMap;
 use std::fmt;

@@ -9,10 +9,13 @@
 //! has *negative* slack and collapses to the single point `i_w + 1`
 //! (Fig. 6(b)).
 //!
-//! Producers are resolved through the exact affine index
-//! ([`crate::polyhedral::ProducerIndex`]) where ranges match exactly, and
-//! through interval-overlap profiling otherwise — mirroring the paper's
-//! Omega-library / profiling-tool split.
+//! The paper finds each read's producer "using either the Omega library
+//! or the profiling tool". Here the trace ([`crate::trace`]) enumerates
+//! every I/O instance with its concrete byte range, and one interval index
+//! over the writes answers every read: its producer is the latest write
+//! before it whose range overlaps the read's, however the two ranges
+//! align. The property tests check that answer against a brute-force scan
+//! of all writes.
 
 use std::collections::HashMap;
 
@@ -20,7 +23,6 @@ use sdds_storage::{FileId, StripingLayout};
 
 use crate::error::CompileError;
 use crate::ir::{IoDirection, ProgramError};
-use crate::polyhedral::ProducerIndex;
 use crate::signature::Signature;
 use crate::trace::{IoInstance, ProgramTrace};
 
@@ -114,8 +116,7 @@ pub fn analyze_slacks(
             return Err(CompileError::Program(ProgramError::EmptyAccess(io.call)));
         }
     }
-    let exact = ProducerIndex::build(trace);
-    let overlap = OverlapIndex::build(trace);
+    let writes = OverlapIndex::build(trace);
     let last_slot = trace.total_slots.saturating_sub(1);
 
     let mut out = Vec::with_capacity(trace.io_count());
@@ -133,8 +134,7 @@ pub fn analyze_slacks(
                 movable: false,
             },
             IoDirection::Read => {
-                let producer = resolve_producer(io, &exact, &overlap);
-                let (begin, end, producer) = match producer {
+                let (begin, end, producer) = match writes.producer_of(io) {
                     Producer::Before(w, q) => ((w + 1).min(last_slot), io.slot, Some((q, w))),
                     Producer::AtOrAfter(w, q) => {
                         // Negative slack: the read waits and issues at w+1.
@@ -160,33 +160,14 @@ pub fn analyze_slacks(
     Ok(out)
 }
 
+/// Where a read's producing write executes, as `(slot, process)`.
 enum Producer {
     Before(u32, usize),
     AtOrAfter(u32, usize),
     None,
 }
 
-fn resolve_producer(io: &IoInstance, exact: &ProducerIndex, overlap: &OverlapIndex) -> Producer {
-    // Affine fast path: ranges that match a written range exactly.
-    if exact.has_writer(io) {
-        if let Some((w, q)) = exact.last_exact_writer_before(io) {
-            return Producer::Before(w, q);
-        }
-        if let Some((w, q)) = exact.first_exact_writer_at_or_after(io) {
-            return Producer::AtOrAfter(w, q);
-        }
-    }
-    // Profiling path: interval overlap.
-    match overlap.last_overlapping_writer_before(io) {
-        Some((w, q)) => Producer::Before(w, q),
-        None => match overlap.first_overlapping_writer_at_or_after(io) {
-            Some((w, q)) => Producer::AtOrAfter(w, q),
-            None => Producer::None,
-        },
-    }
-}
-
-/// Per-file interval index over writes for the profiling path.
+/// Per-file interval index over the writes of a trace.
 #[derive(Debug)]
 struct OverlapIndex {
     /// file -> writes sorted by offset: (offset, len, slot, proc).
@@ -232,18 +213,20 @@ impl OverlapIndex {
             .filter(move |&(o, l, _, _)| o + l > io.offset)
     }
 
-    fn last_overlapping_writer_before(&self, io: &IoInstance) -> Option<(u32, usize)> {
-        self.overlapping(io)
+    /// The producer of `io`: the latest overlapping write strictly before
+    /// it, or else the earliest overlapping write at or after it.
+    fn producer_of(&self, io: &IoInstance) -> Producer {
+        let before = self
+            .overlapping(io)
             .filter(|&(_, _, slot, _)| slot < io.slot)
-            .map(|(_, _, slot, proc)| (slot, proc))
-            .max_by_key(|&(slot, _)| slot)
-    }
-
-    fn first_overlapping_writer_at_or_after(&self, io: &IoInstance) -> Option<(u32, usize)> {
+            .max_by_key(|&(_, _, slot, _)| slot);
+        if let Some((_, _, w, q)) = before {
+            return Producer::Before(w, q);
+        }
         self.overlapping(io)
             .filter(|&(_, _, slot, _)| slot >= io.slot)
-            .map(|(_, _, slot, proc)| (slot, proc))
-            .min_by_key(|&(slot, _)| slot)
+            .min_by_key(|&(_, _, slot, _)| slot)
+            .map_or(Producer::None, |(_, _, w, q)| Producer::AtOrAfter(w, q))
     }
 }
 
@@ -373,9 +356,9 @@ mod tests {
     }
 
     #[test]
-    fn partial_overlap_resolved_by_profiling_path() {
-        // A large write covers two later small reads (ranges differ, so the
-        // exact index cannot resolve them).
+    fn partial_overlap_finds_the_covering_write() {
+        // A large write covers two later small reads whose ranges differ
+        // from its own.
         let mut p = Program::new("partial", 1);
         let f = p.add_file(FileId(0), 4 * STRIPE);
         p.push_loop("i", 0, 0, move |b| {
@@ -388,6 +371,71 @@ mod tests {
         for a in acc.iter().filter(|a| a.is_read()) {
             assert_eq!(a.producer.map(|p| p.1), Some(0));
             assert_eq!(a.begin, 1);
+        }
+    }
+
+    #[test]
+    fn partial_overwrite_makes_the_rewrite_the_producer() {
+        // Two stripes written at slot 0, the first of them rewritten at
+        // slot 1, and both read back at slot 2: the read's data is complete
+        // only after the rewrite, so it may not move before slot 2.
+        let mut p = Program::new("overwrite", 1);
+        let f = p.add_file(FileId(0), 2 * STRIPE);
+        p.push_loop("i", 0, 0, move |b| {
+            b.io(IoDirection::Write, f, |e| e, 2 * STRIPE);
+        });
+        p.push_loop("j", 0, 0, move |b| {
+            b.io(IoDirection::Write, f, |e| e, STRIPE);
+        });
+        p.push_loop("k", 0, 0, move |b| {
+            b.io(IoDirection::Read, f, |e| e, 2 * STRIPE);
+        });
+        let acc = analyze_slacks(&trace_of(&p), &layout()).unwrap();
+        let read = acc.iter().find(|a| a.is_read()).unwrap();
+        assert_eq!(read.io.slot, 2);
+        assert_eq!(read.producer, Some((0, 1)));
+        assert_eq!((read.begin, read.end), (2, 2));
+        assert!(!read.movable);
+    }
+
+    #[test]
+    fn latest_of_several_writes_is_the_producer() {
+        // One block written at slots 0, 1 and 2, then read at slot 6.
+        let mut p = Program::new("rewrite", 1);
+        let f = p.add_file(FileId(0), STRIPE);
+        p.push_loop("i", 0, 2, move |b| {
+            b.io(IoDirection::Write, f, |e| e, STRIPE);
+        });
+        p.push_skip(3, simkit::SimDuration::from_millis(1));
+        p.push_loop("j", 0, 0, move |b| {
+            b.io(IoDirection::Read, f, |e| e, STRIPE);
+        });
+        let acc = analyze_slacks(&trace_of(&p), &layout()).unwrap();
+        let read = acc.iter().find(|a| a.is_read()).unwrap();
+        assert_eq!(read.io.slot, 6);
+        assert_eq!(read.producer, Some((0, 2)));
+        assert_eq!((read.begin, read.end), (3, 6));
+    }
+
+    #[test]
+    fn unwritten_range_of_a_written_file_has_prefix_slack() {
+        // Block 0 is written at slot 0; block 1 of the same file is only
+        // read, at slots 1 and 2.
+        let mut p = Program::new("unwritten", 1);
+        let f = p.add_file(FileId(0), 2 * STRIPE);
+        p.push_loop("i", 0, 0, move |b| {
+            b.io(IoDirection::Write, f, |e| e, STRIPE);
+        });
+        p.push_loop("j", 0, 1, move |b| {
+            b.io(IoDirection::Read, f, |e| e.plus(STRIPE as i64), STRIPE);
+        });
+        let acc = analyze_slacks(&trace_of(&p), &layout()).unwrap();
+        let reads: Vec<&SchedulableAccess> = acc.iter().filter(|a| a.is_read()).collect();
+        assert_eq!(reads.len(), 2);
+        for a in reads {
+            assert_eq!(a.producer, None);
+            assert_eq!((a.begin, a.end), (0, a.io.slot));
+            assert!(a.movable);
         }
     }
 

@@ -1,12 +1,13 @@
-//! Trace extraction: the profiling path of the framework.
+//! Trace extraction: every I/O instance of a program, enumerated.
 //!
 //! The paper identifies slacks "using either the Omega library or the
-//! profiling tool" (§IV-A). Interpretation of the loop-nest IR *is* the
-//! profiling tool: it enumerates every process's iterations, records each
-//! I/O call instance with its concrete file region, and assigns each to a
-//! scheduling slot. The paper measures slots in loop iterations and groups
-//! `d > 1` iterations into one unit for large loops; [`SlotGranularity`]
-//! carries that `d`.
+//! profiling tool" (§IV-A). Here one analysis serves every program:
+//! interpreting the loop-nest IR enumerates every process's iterations,
+//! records each I/O call instance with its concrete file region, and
+//! assigns each to a scheduling slot; [`crate::slack`] then finds each
+//! read's producer by interval overlap over these instances. The paper
+//! measures slots in loop iterations and groups `d > 1` iterations into
+//! one unit for large loops; [`SlotGranularity`] carries that `d`.
 
 use std::collections::HashMap;
 

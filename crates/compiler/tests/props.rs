@@ -22,36 +22,71 @@ fn arb_program() -> impl Strategy<Value = Program> {
         1i64..4,   // block size in stripes
     )
         .prop_map(|(procs, blocks, gap, shift, stripes)| {
-            let blk = stripes * STRIPE;
-            let span = blocks * blk + STRIPE;
-            let mut p = Program::new("prop", procs);
-            let f = p.add_file(
-                FileId(0),
-                ((procs as i64) * span + (blocks + shift) * blk + blk) as u64,
-            );
-            p.push_loop("i", 0, blocks - 1, move |b| {
-                b.io(
-                    IoDirection::Write,
-                    f,
-                    |e| e.term("p", span).term("i", blk),
-                    blk as u64,
-                );
-                b.compute(SimDuration::from_millis(5));
-            });
-            if gap > 0 {
-                p.push_skip(gap, SimDuration::from_millis(20));
-            }
-            p.push_loop("j", 0, blocks - 1, move |b| {
-                b.io(
-                    IoDirection::Read,
-                    f,
-                    |e| e.term("p", span).term("j", blk).plus(shift * blk),
-                    blk as u64,
-                );
-                b.compute(SimDuration::from_millis(5));
-            });
-            p
+            two_phase(procs, blocks, gap, shift, stripes, None)
         })
+}
+
+/// [`arb_program`] with a second write pass right after the first,
+/// shifted by 1–2 stripes, so that later writes partly overwrite earlier
+/// ones.
+fn arb_overwriting_program() -> impl Strategy<Value = Program> {
+    (1usize..5, 1i64..12, 0u32..6, 0i64..3, 1i64..4, 1i64..3).prop_map(
+        |(procs, blocks, gap, shift, stripes, rewrite)| {
+            two_phase(procs, blocks, gap, shift, stripes, Some(rewrite))
+        },
+    )
+}
+
+/// The program [`arb_program`] and [`arb_overwriting_program`] generate;
+/// `rewrite` is the second write pass's shift in stripes, if it has one.
+fn two_phase(
+    procs: usize,
+    blocks: i64,
+    gap: u32,
+    shift: i64,
+    stripes: i64,
+    rewrite: Option<i64>,
+) -> Program {
+    let blk = stripes * STRIPE;
+    let span = blocks * blk + STRIPE;
+    let mut p = Program::new("prop", procs);
+    let f = p.add_file(
+        FileId(0),
+        ((procs as i64) * span + (blocks + shift) * blk + blk) as u64,
+    );
+    p.push_loop("i", 0, blocks - 1, move |b| {
+        b.io(
+            IoDirection::Write,
+            f,
+            |e| e.term("p", span).term("i", blk),
+            blk as u64,
+        );
+        b.compute(SimDuration::from_millis(5));
+    });
+    if let Some(rewrite) = rewrite {
+        p.push_loop("k", 0, blocks - 1, move |b| {
+            b.io(
+                IoDirection::Write,
+                f,
+                |e| e.term("p", span).term("k", blk).plus(rewrite * STRIPE),
+                blk as u64,
+            );
+            b.compute(SimDuration::from_millis(5));
+        });
+    }
+    if gap > 0 {
+        p.push_skip(gap, SimDuration::from_millis(20));
+    }
+    p.push_loop("j", 0, blocks - 1, move |b| {
+        b.io(
+            IoDirection::Read,
+            f,
+            |e| e.term("p", span).term("j", blk).plus(shift * blk),
+            blk as u64,
+        );
+        b.compute(SimDuration::from_millis(5));
+    });
+    p
 }
 
 proptest! {
@@ -77,9 +112,10 @@ proptest! {
         prop_assert!(d <= 16 + xs.len() + ys.len());
     }
 
-    /// Slack analysis agrees with a brute-force scan over all writes.
+    /// Slack analysis agrees with a brute-force scan over all writes,
+    /// also where later writes partly overwrite earlier ones.
     #[test]
-    fn slack_matches_brute_force(program in arb_program()) {
+    fn slack_matches_brute_force(program in arb_overwriting_program()) {
         let trace = program.trace(SlotGranularity::unit()).unwrap();
         let layout = StripingLayout::paper_defaults();
         let accesses = analyze_slacks(&trace, &layout).unwrap();
@@ -251,35 +287,6 @@ proptest! {
                     "slot {} of {}: batched {} vs reference {}", t, total_slots, r, expected
                 );
             }
-        }
-    }
-}
-
-proptest! {
-    /// The symbolic (Omega-path) producer analysis agrees with the
-    /// trace-based profiling path on every supported random program.
-    #[test]
-    fn symbolic_matches_profiling(program in arb_program()) {
-        use sdds_compiler::symbolic::SymbolicAnalysis;
-        use sdds_compiler::polyhedral::ProducerIndex;
-        // arb_program produces flat two-phase loops: always supported.
-        let sym = SymbolicAnalysis::try_new(&program).expect("supported shape");
-        let trace = program.trace(SlotGranularity::unit()).unwrap();
-        let idx = ProducerIndex::build(&trace);
-        for io in trace.all_ios() {
-            if io.direction != IoDirection::Read {
-                continue;
-            }
-            prop_assert_eq!(
-                sym.last_writer_before(io),
-                idx.last_exact_writer_before(io).map(|(s, q)| (q, s)),
-                "last-writer mismatch at slot {}", io.slot
-            );
-            prop_assert_eq!(
-                sym.first_writer_at_or_after(io),
-                idx.first_exact_writer_at_or_after(io).map(|(s, q)| (q, s)),
-                "first-writer mismatch at slot {}", io.slot
-            );
         }
     }
 }

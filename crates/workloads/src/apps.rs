@@ -14,8 +14,9 @@
 //!   periods above 5 s in Fig. 12(a) that carry most of the idle time.
 //!
 //! The long gaps are emitted between *chunks* of the outer phase loop
-//! (affine offsets take a per-chunk base constant), so the generated
-//! programs stay within the affine class the polyhedral path resolves.
+//! (each chunk's offsets take a per-chunk base constant), so every I/O
+//! offset stays an affine function of the loop indices and the process
+//! rank, the class of access functions the paper's compiler handles.
 
 use sdds_compiler::ir::{IoDirection, Program};
 use sdds_compiler::SlotGranularity;
