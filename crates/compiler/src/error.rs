@@ -44,14 +44,14 @@ pub enum CompileError {
         /// The trace's slot count.
         total_slots: u32,
     },
-    /// A schedule entry's access index is outside the table.
+    /// An access's index is outside the list of accesses to schedule.
     AccessIndexOutOfRange {
         /// The offending index.
         index: usize,
-        /// Number of accesses in the table.
+        /// Number of accesses in the list.
         count: usize,
     },
-    /// Two schedule entries claim the same access index.
+    /// Two accesses to schedule claim the same index.
     DuplicateAccessIndex {
         /// The duplicated index.
         index: usize,

@@ -387,60 +387,6 @@ impl ScheduleTable {
         }
     }
 
-    /// Reconstructs a table from its scheduled entries (the inverse of
-    /// iterating it), validating consistency.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`CompileError`] describing the first inconsistency: an
-    /// out-of-range process or slot, a duplicate or out-of-range access
-    /// index.
-    pub fn from_entries(
-        nprocs: usize,
-        total_slots: u32,
-        entries: Vec<ScheduledIo>,
-    ) -> Result<ScheduleTable, CompileError> {
-        let n = entries.len();
-        let mut points = vec![u32::MAX; n];
-        let mut per_proc: Vec<Vec<ScheduledIo>> = vec![Vec::new(); nprocs];
-        for e in entries {
-            if e.io.proc >= nprocs {
-                return Err(CompileError::ProcOutOfRange {
-                    proc: e.io.proc,
-                    nprocs,
-                });
-            }
-            if e.slot >= total_slots || e.io.slot >= total_slots {
-                return Err(CompileError::SlotOutOfRange {
-                    slot: e.slot.max(e.io.slot),
-                    total_slots,
-                });
-            }
-            if e.access_index >= n {
-                return Err(CompileError::AccessIndexOutOfRange {
-                    index: e.access_index,
-                    count: n,
-                });
-            }
-            if points[e.access_index] != u32::MAX {
-                return Err(CompileError::DuplicateAccessIndex {
-                    index: e.access_index,
-                });
-            }
-            points[e.access_index] = e.slot;
-            per_proc[e.io.proc].push(e);
-        }
-        for entries in &mut per_proc {
-            entries.sort_by_key(|e| (e.slot, e.access_index));
-        }
-        Ok(ScheduleTable {
-            nprocs,
-            total_slots,
-            per_proc,
-            points,
-        })
-    }
-
     /// Number of processes.
     pub fn nprocs(&self) -> usize {
         self.nprocs

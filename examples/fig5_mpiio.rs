@@ -1,6 +1,6 @@
 //! The paper's Fig. 5 code, transcribed through the MPI-IO-style front
-//! end, then compiled: slack analysis, scheduling, and a dump of the
-//! per-process scheduling table in its on-disk format.
+//! end, then compiled: slack analysis, scheduling, and the first entries
+//! of one process's scheduling table.
 //!
 //! ```text
 //! cargo run --release --example fig5_mpiio
@@ -58,13 +58,15 @@ fn main() {
         table.mean_advance()
     );
 
-    // The scheduling table in its Fig. 4 hand-off format (first lines).
-    let mut buf = Vec::new();
-    table.write_tsv(&mut buf).expect("in-memory write");
-    let text = String::from_utf8(buf).expect("utf8");
-    println!("\n--- scheduling table (first 8 records) ---");
-    for line in text.lines().take(9) {
-        println!("{line}");
+    // The per-process scheduling table of Fig. 4 that the runtime
+    // scheduler receives: each access's chosen slot and original slot.
+    println!("\n--- scheduling table of process 0 (first 8 entries) ---");
+    println!("access\tslot\torig\tdir\toffset\tlen");
+    for e in table.for_process(0).iter().take(8) {
+        println!(
+            "{}\t{}\t{}\t{:?}\t{}\t{}",
+            e.access_index, e.slot, e.io.slot, e.io.direction, e.io.offset, e.io.len
+        );
     }
-    println!("... ({} records total)", table.scheduled_count());
+    println!("... ({} entries in all processes)", table.scheduled_count());
 }
