@@ -19,7 +19,6 @@
 //! byte-for-byte reproducible for a deterministic simulation.
 
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 
 use crate::telemetry::TraceEvent;
 use crate::time::SimTime;
@@ -189,71 +188,6 @@ impl SpanForest {
     pub fn total_energy_nj(&self) -> u64 {
         self.requests.iter().map(|r| r.energy_nj).sum()
     }
-
-    /// Serializes the forest as one deterministic JSON document: access
-    /// roots with their member requests nested, unparented (prefetch)
-    /// spans in a trailing array.
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\"accesses\":[");
-        for (i, a) in self.accesses.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"access\":{},\"start_us\":{},\"end_us\":{},\"requests\":[",
-                a.access,
-                a.start.as_micros(),
-                opt_us(a.end)
-            );
-            for (j, &rix) in a.requests.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                out.push_str(&request_json(&self.requests[rix]));
-            }
-            out.push_str("]}");
-        }
-        out.push_str("],\"unparented\":[");
-        let mut first = true;
-        for r in &self.requests {
-            if r.access.is_none() {
-                if !first {
-                    out.push(',');
-                }
-                first = false;
-                out.push_str(&request_json(r));
-            }
-        }
-        out.push_str("]}");
-        out
-    }
-}
-
-fn opt_us(t: Option<SimTime>) -> String {
-    match t {
-        Some(t) => t.as_micros().to_string(),
-        None => "null".to_owned(),
-    }
-}
-
-fn request_json(r: &RequestSpan) -> String {
-    format!(
-        "{{\"node\":{},\"disk\":{},\"id\":{},\"issued_us\":{},\"attempt\":{},\
-         \"recovery\":{},\"arrival_us\":{},\"start_us\":{},\"end_us\":{},\
-         \"energy_nj\":{},\"faults\":{}}}",
-        r.node,
-        r.disk,
-        r.id,
-        opt_us(r.issued),
-        r.attempt,
-        r.recovery,
-        opt_us(r.arrival),
-        opt_us(r.start),
-        opt_us(r.end),
-        r.energy_nj,
-        r.faults
-    )
 }
 
 /// The exact latency split of one completed request, in integer
@@ -436,9 +370,6 @@ mod tests {
         assert_eq!(forest.requests.len(), 3);
         assert_eq!(forest.accesses[0].end, Some(t(70)));
         assert_eq!(forest.total_energy_nj(), 2_000);
-        let json = forest.to_json();
-        assert!(json.starts_with("{\"accesses\":["));
-        assert!(json.contains("\"unparented\":[{\"node\":0,\"disk\":2,\"id\":3"));
     }
 
     #[test]
