@@ -413,9 +413,23 @@ mod tests {
     }
 
     #[test]
+    #[cfg(debug_assertions)]
     #[should_panic(expected = "went negative")]
     fn underflow_panics() {
         let _ = SimTime::from_micros(1) - SimDuration::from_micros(2);
+    }
+
+    #[test]
+    #[cfg(not(debug_assertions))]
+    fn underflow_saturates_in_release() {
+        assert_eq!(
+            SimTime::from_micros(1) - SimDuration::from_micros(2),
+            SimTime::ZERO
+        );
+        assert_eq!(
+            SimDuration::from_micros(1) - SimDuration::from_micros(2),
+            SimDuration::ZERO
+        );
     }
 
     #[test]
