@@ -6,8 +6,9 @@
 //! keep the default `Deterministic` arbitration byte-identical to it.
 //! A second fixture (`golden_parity_raid5.txt`) pins multi-disk nodes and
 //! the fault-recovery path the same way: RAID-5 with four disks per node,
-//! fault-free and under the heavy fault scenario, with the fault counters
-//! appended to each line. A third (`golden_parity_engine.txt`) pins the
+//! fault-free and under the heavy fault scenario, the latter also under
+//! `SeededShuffle` arbitration, with the fault counters appended to each
+//! line. A third (`golden_parity_engine.txt`) pins the
 //! engine paths the matrix never takes: `SeededShuffle` arbitration, and a
 //! prefetch buffer small enough that the scheduler thread defers
 //! prefetches because it is full. Regenerate deliberately with:
@@ -142,6 +143,10 @@ fn current_matrix() -> Vec<String> {
 /// history-based multi-speed policy, scheme off and on. Two apps keep the
 /// debug run short: `hf` moves the most data, and `wupwise` exercises
 /// retries, crash redirects and crash deferrals under the heavy plan.
+/// The heavy plan runs again under `SeededShuffle(1|7)` (history-based,
+/// scheme off and on): only a fault plan sends an I/O node's array and its
+/// deferred-recovery queue through the node's event stepping, so these
+/// cells pin that path under shuffled same-instant order.
 fn raid5_matrix() -> Vec<String> {
     let raid5 = SystemConfig {
         raid_level: RaidLevel::Raid5,
@@ -162,6 +167,17 @@ fn raid5_matrix() -> Vec<String> {
                 for scheme in [false, true] {
                     lines.push(cell_line(&base, Some(&variant), true, app, policy, scheme));
                 }
+            }
+        }
+    }
+    let heavy = raid5.with_fault(Some(FaultSpec::heavy(42)));
+    let policy = PolicyKind::history_based_default();
+    for seed in [1_u64, 7] {
+        let base = heavy.with_arbitration(ArbitrationPolicy::SeededShuffle(seed));
+        let variant = format!("faults=heavy42 arb=shuffle{seed}");
+        for app in [App::Hf, App::Wupwise] {
+            for scheme in [false, true] {
+                lines.push(cell_line(&base, Some(&variant), true, app, &policy, scheme));
             }
         }
     }
@@ -290,6 +306,7 @@ fn raid5_matrix_matches_committed_fixture() {
         "golden_parity_raid5.txt",
         "# Golden parity fixture: RAID-5 x4 per node, fault-free and heavy(42),\n\
          # app x policy x scheme at test scale, with the fault counters.\n\
+         # heavy(42) again under SeededShuffle(1|7), history-based.\n\
          # Regenerate with SDDS_REGEN_GOLDEN=1 cargo test -p sdds --test golden_parity\n",
         &raid5_matrix(),
     );
