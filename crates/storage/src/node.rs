@@ -6,7 +6,7 @@ use sdds_disk::{
 use sdds_power::{PolicyContext, PolicyKind, PoweredArray};
 use simkit::fault::{DiskFaultProfile, FaultCounters, FaultPlan};
 use simkit::hash::FxHashMap;
-use simkit::kernel::{ArbitrationPolicy, Calendar, SlotId};
+use simkit::kernel::ArbitrationPolicy;
 use simkit::stats::{BucketHistogram, DurationHistogram};
 use simkit::telemetry::{MetricsRegistry, TraceEvent, TraceSink};
 use simkit::{EventQueue, SimDuration, SimTime};
@@ -33,9 +33,8 @@ pub struct NodeConfig {
     /// entire fault machinery off the hot path and every simulated metric
     /// bit-for-bit identical to a fault-free build.
     pub faults: Option<FaultPlan>,
-    /// Same-time arbitration policy for the node's event calendars (the
-    /// power driver's disk/timer calendar and the node's array/deferred
-    /// calendar). [`ArbitrationPolicy::Deterministic`] — the default —
+    /// Same-time arbitration policy for the power driver's disk/timer
+    /// calendar. [`ArbitrationPolicy::Deterministic`] — the default —
     /// keeps every simulated metric bit-for-bit reproducible.
     pub arbitration: ArbitrationPolicy,
 }
@@ -142,13 +141,6 @@ pub struct IoNode {
     /// Requests parked until a crash window ends or a retry backoff
     /// expires. Always empty without a fault plan.
     deferred: EventQueue<(usize, DiskRequest)>,
-    /// Unified calendar over the node's two event sources (the disk
-    /// array and the deferred-recovery queue); drives the fault-path
-    /// event stepping in [`IoNode::advance_to`] under the configured
-    /// arbitration policy.
-    cal: Calendar,
-    array_slot: SlotId,
-    deferred_slot: SlotId,
     /// Scratch buffer for failed completions surfaced while draining the
     /// array (reused across drains; empty on the fault-free path).
     failed_scratch: Vec<(usize, CompletedRequest, IssuedMeta)>,
@@ -173,9 +165,6 @@ impl IoNode {
         let mut array =
             PoweredArray::with_policy(config.disk.clone(), config.raid.disks(), policy)?;
         array.set_arbitration(config.arbitration);
-        let mut cal = Calendar::new(config.arbitration);
-        let array_slot = cal.register();
-        let deferred_slot = cal.register();
         let faults = config.faults.as_ref().and_then(|plan| {
             (id < plan.io_nodes()).then(|| {
                 let profiles = plan.node(id);
@@ -198,9 +187,6 @@ impl IoNode {
             now: SimTime::ZERO,
             faults,
             deferred: EventQueue::new(),
-            cal,
-            array_slot,
-            deferred_slot,
             failed_scratch: Vec::new(),
             fault_stats: FaultCounters::default(),
         })
@@ -424,29 +410,23 @@ impl IoNode {
         // Step from event to event instead of jumping straight to `t`:
         // a failure must be observed at its completion time so retries,
         // reconstructions and deferred submissions happen *then*, not at
-        // whatever horizon the caller advanced to. The calendar arbitrates
-        // between the node's two event sources; both slots are retargeted
-        // from their live sources each round because a fired event can
-        // reschedule either one.
-        loop {
-            self.cal
-                .retarget(self.array_slot, self.array.next_event_time());
-            self.cal
-                .retarget(self.deferred_slot, self.deferred.peek_time());
-            let Some((next, slot)) = self.cal.pop_due(t) else {
-                break;
-            };
+        // whatever horizon the caller advanced to. Each step goes to the
+        // earlier of the array's and the deferred queue's next times (both
+        // re-read each round, since a fired event can reschedule either),
+        // collects the array's completions, then releases what the queue
+        // holds for that instant. The order inside a step decides nothing:
+        // recovery never parks work at the instant being stepped (retries
+        // back off at least 1 ms, deferrals wait for a crash window's end).
+        while let Some(next) = self.next_event_time().filter(|&next| next <= t) {
             let step = next.max(self.now);
             self.array.advance_to(step);
             self.now = self.now.max(step);
             self.collect_completions();
-            if slot == self.deferred_slot {
-                while self.deferred.peek_time().is_some_and(|d| d <= step) {
-                    let Some((at, (disk, req))) = self.deferred.pop() else {
-                        break;
-                    };
-                    self.fire_deferred(at, disk, req);
-                }
+            while self.deferred.peek_time().is_some_and(|d| d <= step) {
+                let Some((at, (disk, req))) = self.deferred.pop() else {
+                    break;
+                };
+                self.fire_deferred(at, disk, req);
             }
         }
         self.array.advance_to(t);
