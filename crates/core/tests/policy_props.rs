@@ -30,7 +30,6 @@ fn no_policy_loses_bytes_under_faults() {
     let trace = keyed_trace(17);
     let policies: Vec<(&str, PolicyKind)> = vec![
         ("table-lookup", table_policy_for(&trace, &cfg).unwrap()),
-        ("online", PolicyKind::online_spin_down_default(17)),
         ("online-speed", PolicyKind::online_multi_speed_default(17)),
         ("hybrid", PolicyKind::hybrid_default(17)),
     ];

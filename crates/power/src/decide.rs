@@ -15,8 +15,10 @@
 //! The [`Decision`] buffer is owned by the driver and reused across
 //! events, so steady-state decision-making allocates nothing.
 
-use sdds_disk::{Disk, Rpm, RpmChangePriority};
-use simkit::SimTime;
+use sdds_disk::{Disk, DiskParams, Rpm, RpmChangePriority, SpindlePowerModel};
+use simkit::{SimDuration, SimTime};
+
+use crate::analysis;
 
 /// One occurrence on the kernel's event stream, as seen by a policy.
 ///
@@ -202,6 +204,78 @@ impl Decision {
     }
 }
 
+/// The idle-window steps of §II, written once for every policy that takes
+/// them. Each policy keeps its own gating, predictors and timer states and
+/// calls these to act on a window it has decided to spend.
+impl Decision {
+    /// Spends an idle window of length `window` from `t` in standby when
+    /// that saves energy over idling at `current` (Fig. 2): spins every
+    /// member of `disks` down and arms the wake `spin_up_time` before the
+    /// window ends, so the spin-up completes with it. Does nothing when
+    /// standby does not pay off, which it never does for a window too
+    /// short to hold both the spin-down and the spin-up.
+    pub(crate) fn spin_down_through(
+        &mut self,
+        disks: &[Disk],
+        params: &DiskParams,
+        model: &SpindlePowerModel,
+        current: Rpm,
+        t: SimTime,
+        window: SimDuration,
+    ) {
+        if !analysis::spin_down_pays_off(params, model, current, window) {
+            return;
+        }
+        for i in 0..disks.len() {
+            self.spin_down(i);
+        }
+        self.set_timer(t + window.saturating_sub(params.spin_up_time));
+    }
+
+    /// Spends an idle window of length `window` from `t` at `level`
+    /// (Fig. 3(a)): moves every member of `disks` there unless `level` is
+    /// the `current` speed, and, when `level` is below full speed, arms the
+    /// ramp back so that it ends with the window, but no sooner than 1 ms
+    /// after `t`. Returns whether it armed the ramp back.
+    pub(crate) fn slow_down_through(
+        &mut self,
+        disks: &[Disk],
+        params: &DiskParams,
+        current: Rpm,
+        level: Rpm,
+        t: SimTime,
+        window: SimDuration,
+    ) -> bool {
+        if level != current {
+            for i in 0..disks.len() {
+                self.set_rpm(i, level, RpmChangePriority::Immediate);
+            }
+        }
+        if level >= params.max_rpm {
+            return false;
+        }
+        let ramp_back = params.rpm_change_time(level, params.max_rpm);
+        self.set_timer(
+            t + window
+                .saturating_sub(ramp_back)
+                .max(SimDuration::from_millis(1)),
+        );
+        true
+    }
+
+    /// Ramps every member of `disks` that runs below `max_rpm` back to full
+    /// speed once its queue drains. Called after a submit: a request found
+    /// the node slow (the window was mispredicted), and the burst is
+    /// served at the current speed first.
+    pub(crate) fn ramp_up_when_drained(&mut self, disks: &[Disk], max_rpm: Rpm) {
+        for (i, d) in disks.iter().enumerate() {
+            if d.current_rpm().is_some_and(|rpm| rpm < max_rpm) {
+                self.set_rpm(i, max_rpm, RpmChangePriority::WhenIdle);
+            }
+        }
+    }
+}
+
 /// A power-management strategy driven by the kernel event stream.
 ///
 /// Implementations receive every [`PolicyEvent`] for their node together
@@ -327,6 +401,111 @@ mod tests {
             t
         );
         assert_eq!(PolicyEvent::AfterSubmit { t }.at(), t);
+    }
+
+    #[test]
+    fn spin_down_wake_lands_spin_up_time_before_the_window_ends() {
+        let params = DiskParams::paper_single_speed();
+        let model = SpindlePowerModel::new(&params).unwrap();
+        let disks = vec![
+            Disk::new(params.clone()).unwrap(),
+            Disk::new(params.clone()).unwrap(),
+        ];
+        let t = SimTime::from_micros(7_000_000);
+        // The shortest window standby pays off for still holds the whole
+        // spin-up before its end.
+        let window = crate::analysis::spin_down_breakeven(&params, &model);
+        let mut out = Decision::new();
+        out.spin_down_through(&disks, &params, &model, params.max_rpm, t, window);
+        assert_eq!(
+            out.directives(),
+            &[
+                PowerDirective::SpinDown { disk: 0 },
+                PowerDirective::SpinDown { disk: 1 }
+            ]
+        );
+        assert_eq!(
+            out.timer(),
+            TimerDirective::At(t + (window - params.spin_up_time))
+        );
+        // One microsecond shorter, standby no longer pays off.
+        let mut out = Decision::new();
+        let shorter = window - SimDuration::from_micros(1);
+        out.spin_down_through(&disks, &params, &model, params.max_rpm, t, shorter);
+        assert!(out.directives().is_empty());
+        assert_eq!(out.timer(), TimerDirective::Keep);
+    }
+
+    #[test]
+    fn slow_down_ramp_back_is_floored_at_one_millisecond() {
+        let params = DiskParams::paper_defaults();
+        let disks = vec![Disk::new(params.clone()).unwrap()];
+        let t = SimTime::from_micros(3_000_000);
+        // The ramp back from the slowest level outlasts the window.
+        let window = SimDuration::from_millis(500);
+        assert!(params.rpm_change_time(params.min_rpm, params.max_rpm) > window);
+        let mut out = Decision::new();
+        assert!(out.slow_down_through(&disks, &params, params.max_rpm, params.min_rpm, t, window));
+        assert_eq!(
+            out.directives(),
+            &[PowerDirective::SetRpm {
+                disk: 0,
+                rpm: params.min_rpm,
+                priority: RpmChangePriority::Immediate,
+            }]
+        );
+        assert_eq!(
+            out.timer(),
+            TimerDirective::At(t + SimDuration::from_millis(1))
+        );
+    }
+
+    #[test]
+    fn slow_down_to_the_current_level_only_arms_the_ramp_back() {
+        let params = DiskParams::paper_defaults();
+        let disks = vec![Disk::new(params.clone()).unwrap()];
+        let current = Rpm::new(params.max_rpm.get() - 2 * params.rpm_step);
+        let t = SimTime::from_micros(3_000_000);
+        let window = SimDuration::from_secs(5);
+        let mut out = Decision::new();
+        assert!(out.slow_down_through(&disks, &params, current, current, t, window));
+        assert!(out.directives().is_empty());
+        let ramp_back = params.rpm_change_time(current, params.max_rpm);
+        assert_eq!(out.timer(), TimerDirective::At(t + (window - ramp_back)));
+        // At full speed there is no ramp back to arm.
+        let mut out = Decision::new();
+        let max = params.max_rpm;
+        assert!(!out.slow_down_through(&disks, &params, max, max, t, window));
+        assert!(out.directives().is_empty());
+        assert_eq!(out.timer(), TimerDirective::Keep);
+    }
+
+    #[test]
+    fn ramp_up_when_drained_touches_only_slow_members() {
+        let params = DiskParams::paper_defaults();
+        let mut disks = vec![
+            Disk::new(params.clone()).unwrap(),
+            Disk::new(params.clone()).unwrap(),
+            Disk::new(params.clone()).unwrap(),
+        ];
+        let slow = Rpm::new(params.max_rpm.get() - params.rpm_step);
+        disks[0].request_rpm_change(SimTime::ZERO, slow, RpmChangePriority::Immediate);
+        disks[2].start_spin_down(SimTime::ZERO);
+        let settled = SimTime::ZERO + params.spin_down_time;
+        for d in &mut disks {
+            d.advance_to(settled);
+        }
+        let mut out = Decision::new();
+        out.ramp_up_when_drained(&disks, params.max_rpm);
+        assert_eq!(
+            out.directives(),
+            &[PowerDirective::SetRpm {
+                disk: 0,
+                rpm: params.max_rpm,
+                priority: RpmChangePriority::WhenIdle,
+            }]
+        );
+        assert_eq!(out.timer(), TimerDirective::Keep);
     }
 
     #[test]

@@ -23,9 +23,9 @@
 //! Beyond the paper's hardware strategies, the crate carries the
 //! *software-directed* side of the reproduction on the same runtime: the
 //! [`TableLookup`] policy replays per-node idle forecasts distilled from a
-//! compiled schedule, and the online family ([`OnlineSpinDown`],
-//! [`OnlineMultiSpeed`], [`HybridPolicy`]) learns the same signals from
-//! the live request stream for workloads no compiler sees.
+//! compiled schedule, and the online family ([`OnlineMultiSpeed`],
+//! [`HybridPolicy`]) learns the same signals from the live request stream
+//! for workloads no compiler sees.
 //!
 //! Every strategy implements one trait, [`EnergyPolicy`]: it consumes
 //! [`PolicyEvent`]s (idleness edges, timer fires, request arrivals) and
@@ -78,7 +78,7 @@ pub use driver::PoweredArray;
 pub use error::PolicyError;
 pub use multi_speed::{HistoryBasedMultiSpeed, StaggeredMultiSpeed};
 pub use no_pm::NoPm;
-pub use online::{HybridPolicy, OnlineMultiSpeed, OnlineSpinDown};
+pub use online::{HybridPolicy, OnlineMultiSpeed};
 pub use policy::{PolicyContext, PolicyKind};
 pub use predictor::IdlePredictor;
 pub use spin_down::{PredictiveSpinDown, SimpleSpinDown};

@@ -193,17 +193,8 @@ impl HistoryBasedMultiSpeed {
                 let elapsed = t.saturating_since(started);
                 let remaining = predicted.mul_f64(self.confidence).saturating_sub(elapsed);
                 let best = analysis::best_level(&self.params, &self.model, current, remaining);
-                if best != current {
-                    Self::set_all(disks, out, best);
-                }
-                if best < self.params.max_rpm {
-                    let ramp_back = self.params.rpm_change_time(best, self.params.max_rpm);
+                if out.slow_down_through(disks, &self.params, current, best, t, remaining) {
                     self.pending = Timer::Wake;
-                    out.set_timer(
-                        t + remaining
-                            .saturating_sub(ramp_back)
-                            .max(SimDuration::from_millis(1)),
-                    );
                 } else {
                     self.pending = Timer::None;
                     out.clear_timer();
@@ -255,17 +246,11 @@ impl EnergyPolicy for HistoryBasedMultiSpeed {
                     }
                 }
             }
-            PolicyEvent::AfterSubmit { .. } => {
-                // Misprediction: a request arrived while the node is still
-                // slow. Serve the burst at the current speed (multi-speed
-                // disks can serve at low RPM) and return to full speed once
-                // the queues drain.
-                for (i, d) in disks.iter().enumerate() {
-                    if d.current_rpm().is_some_and(|rpm| rpm < self.params.max_rpm) {
-                        out.set_rpm(i, self.params.max_rpm, RpmChangePriority::WhenIdle);
-                    }
-                }
-            }
+            // Misprediction: a request arrived while the node is still
+            // slow. Serve the burst at the current speed (multi-speed disks
+            // can serve at low RPM) and return to full speed once the
+            // queues drain.
+            PolicyEvent::AfterSubmit { .. } => out.ramp_up_when_drained(disks, self.params.max_rpm),
         }
     }
 }

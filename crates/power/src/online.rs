@@ -7,10 +7,6 @@
 //! [`PolicyEvent`] stream every other policy sees and learn idle-period and
 //! demand statistics on the fly.
 //!
-//! * [`OnlineSpinDown`] — exponential-average idle-period predictor with a
-//!   jittered bootstrap: before any history exists, a long idle stretch
-//!   still earns an unconditional spin-down after a per-node randomized
-//!   timeout (so a fleet of nodes does not spin down in lockstep).
 //! * [`OnlineMultiSpeed`] — demand-window speed selection: an exponential
 //!   average over observed completed idle gaps (clamped to a window cap)
 //!   predicts how long the node has until the next request, and the speed
@@ -20,10 +16,10 @@
 //!   online side has seen enough of the live stream to correct the table's
 //!   assumptions.
 //!
-//! Determinism: each policy draws its jitter once, at construction, from a
-//! per-node [`DetRng`] substream ([`simkit::StreamId::Policy`] narrowed by
-//! node index); after construction every decision is a pure function of
-//! the event stream.
+//! Determinism: the online policy draws its gate jitter once, at
+//! construction, from a per-node [`DetRng`] substream
+//! ([`simkit::StreamId::Policy`] narrowed by node index); after
+//! construction every decision is a pure function of the event stream.
 
 use sdds_disk::{Disk, DiskParams, RpmChangePriority, SpindlePowerModel};
 use simkit::{DetRng, SimDuration, SimTime};
@@ -34,153 +30,6 @@ use crate::error::PolicyError;
 use crate::multi_speed::HistoryBasedMultiSpeed;
 use crate::predictor::IdlePredictor;
 use crate::spin_down::check_unit_knob;
-
-/// Online spin-down: EWMA idle-period prediction plus a jittered bootstrap
-/// timeout for the cold-start phase.
-#[derive(Debug)]
-pub struct OnlineSpinDown {
-    params: DiskParams,
-    model: SpindlePowerModel,
-    predictor: IdlePredictor,
-    confidence: f64,
-    /// Idleness that must elapse before a decision is attempted; also the
-    /// minimum idle length entering the history.
-    activation: SimDuration,
-    /// Cold-start timeout: with no history yet, spin down unconditionally
-    /// once the node has idled this long. Jittered per node at
-    /// construction so arrays do not phase-lock.
-    bootstrap: SimDuration,
-    idle_since: Option<SimTime>,
-}
-
-impl OnlineSpinDown {
-    /// Creates the policy; `rng` must be the node's own policy substream.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`PolicyError`] unless `0 < ewma_alpha <= 1` and
-    /// `0 < confidence <= 1` and `params` validates.
-    pub fn new(
-        params: &DiskParams,
-        ewma_alpha: f64,
-        confidence: f64,
-        mut rng: DetRng,
-    ) -> Result<Self, PolicyError> {
-        check_unit_knob("online", "ewma_alpha", ewma_alpha)?;
-        check_unit_knob("online", "confidence", confidence)?;
-        Ok(OnlineSpinDown {
-            model: SpindlePowerModel::new(params)?,
-            params: params.clone(),
-            predictor: IdlePredictor::new(ewma_alpha),
-            confidence,
-            activation: SimDuration::from_secs(2),
-            bootstrap: SimDuration::from_secs(40)
-                + SimDuration::from_micros(rng.range_u64(0, 20_000_000)),
-            idle_since: None,
-        })
-    }
-
-    /// Read-only access to the predictor (for diagnostics and tests).
-    pub fn predictor(&self) -> &IdlePredictor {
-        &self.predictor
-    }
-
-    /// The jittered cold-start timeout this node drew.
-    pub fn bootstrap(&self) -> SimDuration {
-        self.bootstrap
-    }
-
-    fn on_timer(&mut self, t: SimTime, disks: &[Disk], out: &mut Decision) {
-        let Some(started) = self.idle_since else {
-            return;
-        };
-        if disks.iter().any(|d| d.current_rpm().is_none()) {
-            // A wake timer fired while the node is in (or heading to)
-            // standby: bring it back up for the predicted demand.
-            for i in 0..disks.len() {
-                out.spin_up(i);
-            }
-            self.idle_since = None;
-            return;
-        }
-        if !node_idle(disks) {
-            return;
-        }
-        let elapsed = t.saturating_since(started);
-        let current = disks
-            .first()
-            .and_then(|d| d.current_rpm())
-            .unwrap_or(self.params.max_rpm);
-        match self.predictor.predict() {
-            Some(predicted) => {
-                let remaining = predicted.mul_f64(self.confidence).saturating_sub(elapsed);
-                if !analysis::spin_down_pays_off(&self.params, &self.model, current, remaining) {
-                    return;
-                }
-                for i in 0..disks.len() {
-                    out.spin_down(i);
-                }
-                let wake = remaining
-                    .saturating_sub(self.params.spin_up_time)
-                    .max(self.params.spin_down_time);
-                out.set_timer(t + wake);
-            }
-            None => {
-                // Cold start: no history to predict from. A sufficiently
-                // long idle stretch is spun down anyway (the disks wake on
-                // demand; no wake timer is armed since there is no
-                // predicted end to beat).
-                if elapsed >= self.bootstrap {
-                    for i in 0..disks.len() {
-                        out.spin_down(i);
-                    }
-                } else {
-                    out.set_timer(started + self.bootstrap);
-                }
-            }
-        }
-    }
-}
-
-impl EnergyPolicy for OnlineSpinDown {
-    fn name(&self) -> &'static str {
-        "online"
-    }
-
-    fn snapshot(&self) -> crate::PolicySnapshot {
-        crate::PolicySnapshot {
-            predicted_idle_us: self.predictor.predict().map(|d| d.as_micros()),
-            forecast_us: None,
-            mode: Some(if self.predictor.observations() == 0 {
-                "bootstrap"
-            } else {
-                "learned"
-            }),
-        }
-    }
-
-    fn decide(&mut self, event: PolicyEvent, disks: &[Disk], out: &mut Decision) {
-        match event {
-            PolicyEvent::IdleStart { t } => {
-                self.idle_since = Some(t);
-                out.set_timer(t + self.activation);
-            }
-            PolicyEvent::Timer { t } => {
-                out.clear_timer();
-                self.on_timer(t, disks, out);
-            }
-            PolicyEvent::RequestArrival { completed_idle, .. } => {
-                self.idle_since = None;
-                if let Some(len) = completed_idle {
-                    if len >= self.activation {
-                        self.predictor.observe(len);
-                    }
-                }
-            }
-            PolicyEvent::AfterSubmit { .. } => {}
-        }
-    }
-}
 
 /// Which decision an [`OnlineMultiSpeed`] timer drives.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -281,19 +130,8 @@ impl OnlineMultiSpeed {
                 let elapsed = t.saturating_since(started);
                 let remaining = predicted.mul_f64(self.confidence).saturating_sub(elapsed);
                 let best = analysis::best_level(&self.params, &self.model, current, remaining);
-                if best != current {
-                    for i in 0..disks.len() {
-                        out.set_rpm(i, best, RpmChangePriority::Immediate);
-                    }
-                }
-                if best < self.params.max_rpm {
-                    let ramp_back = self.params.rpm_change_time(best, self.params.max_rpm);
+                if out.slow_down_through(disks, &self.params, current, best, t, remaining) {
                     self.pending = Pending::Wake;
-                    out.set_timer(
-                        t + remaining
-                            .saturating_sub(ramp_back)
-                            .max(SimDuration::from_millis(1)),
-                    );
                 } else {
                     self.pending = Pending::None;
                     out.clear_timer();
@@ -354,15 +192,9 @@ impl EnergyPolicy for OnlineMultiSpeed {
                 self.idle_since = None;
                 self.pending = Pending::None;
             }
-            PolicyEvent::AfterSubmit { .. } => {
-                // A request found the node slow: serve it at the current
-                // speed and ramp back once the queue drains.
-                for (i, d) in disks.iter().enumerate() {
-                    if d.current_rpm().is_some_and(|rpm| rpm < self.params.max_rpm) {
-                        out.set_rpm(i, self.params.max_rpm, RpmChangePriority::WhenIdle);
-                    }
-                }
-            }
+            // A request found the node slow: serve it at the current speed
+            // and ramp back once the queue drains.
+            PolicyEvent::AfterSubmit { .. } => out.ramp_up_when_drained(disks, self.params.max_rpm),
         }
     }
 }
@@ -475,7 +307,6 @@ impl EnergyPolicy for HybridPolicy {
 mod tests {
     use super::*;
     use crate::decide::drive;
-    use sdds_disk::DiskState;
     use simkit::StreamId;
 
     fn t(us: u64) -> SimTime {
@@ -512,57 +343,6 @@ mod tests {
             },
             disks,
         );
-    }
-
-    #[test]
-    fn online_spin_down_learns_and_spins_down() {
-        let params = DiskParams::paper_single_speed();
-        let mut disks = vec![Disk::new(params.clone()).unwrap()];
-        let mut p = OnlineSpinDown::new(&params, 1.0, 1.0, rng()).unwrap();
-        arrival(&mut p, t(0), Some(secs(300)), &mut disks);
-        let gate = idle_start(&mut p, t(0), &mut disks).unwrap();
-        disks[0].advance_to(gate);
-        let wake = timer(&mut p, gate, &mut disks);
-        assert_eq!(disks[0].state(), DiskState::SpinningDown);
-        assert!(wake.is_some(), "a learned idle end arms a wake timer");
-    }
-
-    #[test]
-    fn online_spin_down_bootstraps_without_history() {
-        let params = DiskParams::paper_single_speed();
-        let mut disks = vec![Disk::new(params.clone()).unwrap()];
-        let mut p = OnlineSpinDown::new(&params, 1.0, 1.0, rng()).unwrap();
-        let boot = p.bootstrap();
-        assert!(boot >= secs(40) && boot < secs(60), "jitter in range");
-        let gate = idle_start(&mut p, t(0), &mut disks).unwrap();
-        disks[0].advance_to(gate);
-        // No history: the activation timer re-arms to the bootstrap point.
-        let at_boot = timer(&mut p, gate, &mut disks).unwrap();
-        assert_eq!(at_boot, SimTime::ZERO + boot);
-        disks[0].advance_to(at_boot);
-        let after = timer(&mut p, at_boot, &mut disks);
-        assert_eq!(disks[0].state(), DiskState::SpinningDown);
-        assert_eq!(after, None, "bootstrap spin-down wakes on demand only");
-    }
-
-    #[test]
-    fn online_spin_down_jitter_is_per_node() {
-        let params = DiskParams::paper_single_speed();
-        let a = OnlineSpinDown::new(
-            &params,
-            1.0,
-            1.0,
-            DetRng::for_stream(42, StreamId::Policy).substream("node-0"),
-        )
-        .unwrap();
-        let b = OnlineSpinDown::new(
-            &params,
-            1.0,
-            1.0,
-            DetRng::for_stream(42, StreamId::Policy).substream("node-1"),
-        )
-        .unwrap();
-        assert_ne!(a.bootstrap(), b.bootstrap());
     }
 
     #[test]
@@ -628,19 +408,6 @@ mod tests {
         arrival(&mut p, t(25_000_000), None, &mut disks);
         assert_eq!(p.observations(), 0);
         assert_eq!(p.gaps.predict(), None);
-    }
-
-    #[test]
-    fn online_spin_down_learns_observed_idle_not_arrival_distance() {
-        // Same straggler-visibility pin for the spin-down learner: the
-        // predictor must hold the observed idle length, not the arrival
-        // spacing.
-        let params = DiskParams::paper_single_speed();
-        let mut disks = vec![Disk::new(params.clone()).unwrap()];
-        let mut p = OnlineSpinDown::new(&params, 1.0, 1.0, rng()).unwrap();
-        arrival(&mut p, t(0), None, &mut disks);
-        arrival(&mut p, t(30_000_000), Some(secs(10)), &mut disks);
-        assert_eq!(p.predictor().predict(), Some(secs(10)));
     }
 
     #[test]

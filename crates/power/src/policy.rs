@@ -11,7 +11,7 @@ use sdds_disk::DiskParams;
 use simkit::{DetRng, SimDuration, StreamId};
 
 use crate::decide::EnergyPolicy;
-use crate::online::{HybridPolicy, OnlineMultiSpeed, OnlineSpinDown};
+use crate::online::{HybridPolicy, OnlineMultiSpeed};
 use crate::table::TableLookup;
 use crate::{
     HistoryBasedMultiSpeed, NoPm, PolicyError, PredictiveSpinDown, SimpleSpinDown,
@@ -72,17 +72,6 @@ pub enum PolicyKind {
     StaggeredMultiSpeed {
         /// Idleness to wait before each further one-level slow-down.
         step_timeout: SimDuration,
-    },
-    /// Online spin-down: learns idle-period lengths from the live request
-    /// stream (no compile-time table), with a seeded per-node bootstrap.
-    OnlineSpinDown {
-        /// EWMA weight for new idle observations in `(0, 1]`.
-        ewma_alpha: f64,
-        /// Safety factor in `(0, 1]` applied to predictions.
-        confidence: f64,
-        /// Run seed; per-node jitter is derived from its
-        /// [`StreamId::Policy`] stream.
-        seed: u64,
     },
     /// Online multi-speed: demand-window speed selection from the observed
     /// inter-arrival gaps.
@@ -159,15 +148,6 @@ impl PolicyKind {
         }
     }
 
-    /// The online spin-down policy with default tuning.
-    pub fn online_spin_down_default(seed: u64) -> Self {
-        PolicyKind::OnlineSpinDown {
-            ewma_alpha: 0.5,
-            confidence: 0.9,
-            seed,
-        }
-    }
-
     /// The online demand-window multi-speed policy with default tuning.
     pub fn online_multi_speed_default(seed: u64) -> Self {
         PolicyKind::OnlineMultiSpeed {
@@ -205,7 +185,6 @@ impl PolicyKind {
             PolicyKind::PredictiveSpinDown { .. } => "prediction-based",
             PolicyKind::HistoryBasedMultiSpeed { .. } => "history-based",
             PolicyKind::StaggeredMultiSpeed { .. } => "staggered",
-            PolicyKind::OnlineSpinDown { .. } => "online",
             PolicyKind::OnlineMultiSpeed { .. } => "online-speed",
             PolicyKind::Hybrid { .. } => "hybrid",
             PolicyKind::TableLookup { .. } => "table-lookup",
@@ -245,11 +224,6 @@ impl PolicyKind {
             | PolicyKind::HistoryBasedMultiSpeed {
                 ewma_alpha,
                 confidence,
-            }
-            | PolicyKind::OnlineSpinDown {
-                ewma_alpha,
-                confidence,
-                ..
             }
             | PolicyKind::OnlineMultiSpeed {
                 ewma_alpha,
@@ -316,16 +290,6 @@ impl PolicyKind {
             PolicyKind::StaggeredMultiSpeed { step_timeout } => {
                 Box::new(StaggeredMultiSpeed::new(params, step_timeout)?)
             }
-            PolicyKind::OnlineSpinDown {
-                ewma_alpha,
-                confidence,
-                seed,
-            } => Box::new(OnlineSpinDown::new(
-                params,
-                ewma_alpha,
-                confidence,
-                Self::node_rng(seed, ctx.node),
-            )?),
             PolicyKind::OnlineMultiSpeed {
                 ewma_alpha,
                 confidence,
@@ -367,7 +331,6 @@ mod tests {
         );
         assert_eq!(PolicyKind::history_based_default().name(), "history-based");
         assert_eq!(PolicyKind::staggered_default().name(), "staggered");
-        assert_eq!(PolicyKind::online_spin_down_default(1).name(), "online");
         assert_eq!(
             PolicyKind::online_multi_speed_default(1).name(),
             "online-speed"
@@ -407,7 +370,6 @@ mod tests {
             "default"
         );
         for kind in [
-            PolicyKind::online_spin_down_default(7),
             PolicyKind::online_multi_speed_default(7),
             PolicyKind::hybrid_default(7),
             PolicyKind::TableLookup {
@@ -425,7 +387,6 @@ mod tests {
         assert!(!PolicyKind::simple_spin_down_default().needs_multi_speed());
         assert!(PolicyKind::history_based_default().needs_multi_speed());
         assert!(PolicyKind::staggered_default().needs_multi_speed());
-        assert!(!PolicyKind::online_spin_down_default(1).needs_multi_speed());
         assert!(PolicyKind::online_multi_speed_default(1).needs_multi_speed());
         assert!(PolicyKind::hybrid_default(1).needs_multi_speed());
     }
@@ -460,9 +421,9 @@ mod tests {
     fn node_context_separates_online_streams() {
         // Two nodes built from the same seed must not share jitter draws;
         // the same node rebuilt must. (Observed through Debug formatting,
-        // which includes the derived bootstrap deadline.)
+        // which includes the derived gate jitter.)
         let params = DiskParams::paper_defaults();
-        let kind = PolicyKind::online_spin_down_default(11);
+        let kind = PolicyKind::online_multi_speed_default(11);
         let a = format!(
             "{:?}",
             kind.build(&params, PolicyContext::for_node(0)).unwrap()

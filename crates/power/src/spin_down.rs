@@ -3,7 +3,6 @@
 use sdds_disk::{Disk, DiskParams, SpindlePowerModel};
 use simkit::{SimDuration, SimTime};
 
-use crate::analysis;
 use crate::decide::{node_idle, Decision, EnergyPolicy, PolicyEvent};
 use crate::error::PolicyError;
 use crate::predictor::IdlePredictor;
@@ -162,18 +161,7 @@ impl PredictiveSpinDown {
             .first()
             .and_then(|d| d.current_rpm())
             .unwrap_or(self.params.max_rpm);
-        if !analysis::spin_down_pays_off(&self.params, &self.model, current, remaining) {
-            return;
-        }
-        for i in 0..disks.len() {
-            out.spin_down(i);
-        }
-        // Wake early enough that the spin-up completes at the predicted
-        // end of the idle period (Fig. 2's ahead-of-time transition).
-        let wake = remaining
-            .saturating_sub(self.params.spin_up_time)
-            .max(self.params.spin_down_time);
-        out.set_timer(t + wake);
+        out.spin_down_through(disks, &self.params, &self.model, current, t, remaining);
     }
 }
 

@@ -37,8 +37,8 @@ impl TableLookup {
     /// Creates the policy for I/O node `node`.
     ///
     /// A node with no row in the table (or a row that runs out) simply
-    /// stops acting — a table that under-forecasts degrades to [`NoPm`]
-    /// (crate::NoPm) behavior rather than misfiring.
+    /// stops acting — a table that under-forecasts degrades to
+    /// [`NoPm`](crate::NoPm) behavior rather than misfiring.
     ///
     /// # Errors
     ///
@@ -107,28 +107,11 @@ impl EnergyPolicy for TableLookup {
                     // the forecast window and ramp back in time for its
                     // end.
                     let best = analysis::best_level(&self.params, &self.model, current, idle);
-                    if best == current {
-                        return;
+                    if best != current {
+                        out.slow_down_through(disks, &self.params, current, best, t, idle);
                     }
-                    for i in 0..disks.len() {
-                        out.set_rpm(i, best, RpmChangePriority::Immediate);
-                    }
-                    if best < self.params.max_rpm {
-                        let ramp_back = self.params.rpm_change_time(best, self.params.max_rpm);
-                        out.set_timer(
-                            t + idle
-                                .saturating_sub(ramp_back)
-                                .max(SimDuration::from_millis(1)),
-                        );
-                    }
-                } else if analysis::spin_down_pays_off(&self.params, &self.model, current, idle) {
-                    for i in 0..disks.len() {
-                        out.spin_down(i);
-                    }
-                    let wake = idle
-                        .saturating_sub(self.params.spin_up_time)
-                        .max(self.params.spin_down_time);
-                    out.set_timer(t + wake);
+                } else {
+                    out.spin_down_through(disks, &self.params, &self.model, current, t, idle);
                 }
             }
             PolicyEvent::Timer { .. } => {
@@ -150,15 +133,9 @@ impl EnergyPolicy for TableLookup {
                 // Forecast miss (early arrival): the driver has cancelled
                 // the wake timer; standby disks spin up on demand.
             }
-            PolicyEvent::AfterSubmit { .. } => {
-                // Serve a mispredicted burst at the current speed, ramping
-                // back once the queues drain.
-                for (i, d) in disks.iter().enumerate() {
-                    if d.current_rpm().is_some_and(|rpm| rpm < self.params.max_rpm) {
-                        out.set_rpm(i, self.params.max_rpm, RpmChangePriority::WhenIdle);
-                    }
-                }
-            }
+            // Serve a mispredicted burst at the current speed, ramping back
+            // once the queues drain.
+            PolicyEvent::AfterSubmit { .. } => out.ramp_up_when_drained(disks, self.params.max_rpm),
         }
     }
 }

@@ -11,7 +11,6 @@ fn policies() -> Vec<PolicyKind> {
     all.push(PolicyKind::NoPm);
     // The online family and a distilled forecast table: same liveness and
     // conservation obligations as the paper strategies.
-    all.push(PolicyKind::online_spin_down_default(7));
     all.push(PolicyKind::online_multi_speed_default(7));
     all.push(PolicyKind::hybrid_default(7));
     all.push(PolicyKind::TableLookup {
@@ -30,7 +29,7 @@ proptest! {
     fn policies_are_live_and_conservative(
         gaps in prop::collection::vec(0u64..40_000_000, 1..40),
         disks in 1usize..4,
-        seed_policy in 0usize..9,
+        seed_policy in 0usize..policies().len(),
     ) {
         let kind = policies()[seed_policy].clone();
         let params = DiskParams::paper_defaults();
@@ -61,7 +60,10 @@ proptest! {
     /// consumes at most (NoPm energy + transition overhead bound), and a
     /// long trailing idle period always lets spin-down policies save.
     #[test]
-    fn long_tail_idle_saves_energy(kind_pick in 0usize..4, tail_secs in 200u64..600) {
+    fn long_tail_idle_saves_energy(
+        kind_pick in 0usize..PolicyKind::paper_strategies().len(),
+        tail_secs in 200u64..600,
+    ) {
         // Each of the two idle halves is >= 100 s: beyond every policy's
         // activation gate and the ~80 s spin-down break-even (including the
         // prediction confidence haircut).
@@ -102,7 +104,7 @@ proptest! {
     #[test]
     fn policies_are_deterministic(
         gaps in prop::collection::vec(0u64..20_000_000, 1..30),
-        kind_pick in 0usize..9,
+        kind_pick in 0usize..policies().len(),
     ) {
         let kind = policies()[kind_pick].clone();
         let run = || {
