@@ -73,19 +73,9 @@ impl AffineExpr {
         self.constant
     }
 
-    /// The coefficient of `name` (zero if absent).
-    pub fn coeff(&self, name: &str) -> i64 {
-        self.terms.get(name).copied().unwrap_or(0)
-    }
-
     /// Iterates `(variable, coefficient)` pairs in name order.
     pub fn terms(&self) -> impl Iterator<Item = (&str, i64)> {
         self.terms.iter().map(|(k, &v)| (k.as_str(), v))
-    }
-
-    /// Returns `true` if the expression is a constant.
-    pub fn is_constant(&self) -> bool {
-        self.terms.is_empty()
     }
 
     /// The set of variables appearing with non-zero coefficient.
@@ -108,16 +98,6 @@ impl AffineExpr {
             acc += coeff * v;
         }
         Ok(acc)
-    }
-
-    /// Structural sum of two expressions.
-    pub fn plus(&self, other: &AffineExpr) -> AffineExpr {
-        let mut out = self.clone();
-        out.constant += other.constant;
-        for (name, coeff) in &other.terms {
-            out.add_term(name, *coeff);
-        }
-        out
     }
 }
 
@@ -189,22 +169,11 @@ mod tests {
 
     #[test]
     fn zero_coefficients_collapse() {
-        let mut e = AffineExpr::var("i");
+        let mut e = AffineExpr::var("i").with_term("j", 2);
         e.add_term("i", -1);
-        assert!(e.is_constant());
-        assert_eq!(e.coeff("i"), 0);
+        assert_eq!(e.variables().collect::<Vec<_>>(), vec!["j"]);
         let e2 = AffineExpr::zero().with_term("x", 0);
-        assert!(e2.is_constant());
-    }
-
-    #[test]
-    fn plus_combines() {
-        let a = AffineExpr::constant(1).with_term("i", 2);
-        let b = AffineExpr::constant(3).with_term("i", 4).with_term("j", 1);
-        let c = a.plus(&b);
-        assert_eq!(c.constant_part(), 4);
-        assert_eq!(c.coeff("i"), 6);
-        assert_eq!(c.coeff("j"), 1);
+        assert_eq!(e2.variables().count(), 0);
     }
 
     #[test]
