@@ -6,15 +6,15 @@
 //!
 //! * [`table_policy_for`] distills a compiled schedule into the per-node
 //!   idle forecasts a [`PolicyKind::TableLookup`] policy replays — the
-//!   compile-time tables expressed as just another [`EnergyPolicy`]
-//!   (`sdds_power::EnergyPolicy`) implementation.
+//!   compile-time tables expressed as just another
+//!   [`EnergyPolicy`](sdds_power::EnergyPolicy) implementation.
 //! * [`OnlineMode`] names the three decision layers the `repro online`
 //!   experiment compares, and [`run_mode`] runs one of them over an
 //!   arbitrary trace.
 //!
 //! Everything here is deterministic: forecasts are integer microseconds
 //! derived from the trace, and the online family draws its jitter from a
-//! seeded [`DetRng`](simkit::rng::DetRng) substream.
+//! seeded [`DetRng`](simkit::DetRng) substream.
 
 use crate::cache::CompiledSchedule;
 use crate::config::{compile, engine_for, run_trace, simulate, Outcome, SystemConfig};
@@ -162,7 +162,7 @@ fn distill(
 ///
 /// # Errors
 ///
-/// As for [`run_trace`](crate::run_trace).
+/// As for [`run_trace`].
 pub fn run_mode(
     trace: &ProgramTrace,
     cfg: &SystemConfig,

@@ -172,8 +172,8 @@ impl Disk {
     ///
     /// # Errors
     ///
-    /// Returns the [`DiskError`] produced by [`DiskParams::validate`] if
-    /// the configuration is inconsistent.
+    /// Returns the [`DiskError`](crate::DiskError) produced by
+    /// [`DiskParams::validate`] if the configuration is inconsistent.
     pub fn new(params: DiskParams) -> Result<Self, crate::DiskError> {
         let power = SpindlePowerModel::new(&params)?;
         let state = DiskState::Idle {
@@ -206,8 +206,8 @@ impl Disk {
 
     /// Installs the disk-level portion of a fault profile: bad sectors,
     /// straggler slowdown and transient read errors. Crash windows are
-    /// enforced by the storage layer (see [`DiskFaultState`] on why) and
-    /// ignored here. Installing a profile with none of the disk-level
+    /// ignored here: a crashed disk is unreachable, a property of the I/O
+    /// path, so the storage layer enforces them at submission time. Installing a profile with none of the disk-level
     /// faults active is a no-op, so fault-free disks carry no state.
     pub fn install_faults(&mut self, profile: &DiskFaultProfile) {
         if profile.bad_sectors.is_empty()

@@ -39,13 +39,13 @@ struct ArrayTrace {
 /// Every event source rides the unified [`Calendar`] from
 /// [`simkit::kernel`]: each member disk holds one slot for its next phase
 /// boundary and the policy timer holds the last slot, so finding the next
-/// event source is O(log n) and firing an event only advances the disks
-/// whose state actually changes at that instant — idle members of a large
-/// array are left alone until the enclosing `advance_to` target is
-/// reached. Disks register before the timer, so under the default
-/// [`ArbitrationPolicy::Deterministic`] a disk boundary and a timer due
-/// at the same instant fire disk-first (the historical order);
-/// [`PoweredArray::set_arbitration`] swaps in seeded-shuffle or priority
+/// event source is one scan of the slots, and firing an event only
+/// advances the disks whose state actually changes at that instant —
+/// idle members of a large array are left alone until the enclosing
+/// `advance_to` target is reached. Disks register before the timer, so
+/// under the default [`ArbitrationPolicy::Deterministic`] a disk boundary
+/// and a timer due at the same instant fire disk-first (the historical
+/// order); [`PoweredArray::set_arbitration`] swaps in seeded-shuffle
 /// arbitration for same-time ties.
 ///
 /// # Example

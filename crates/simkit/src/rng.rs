@@ -30,7 +30,7 @@
 //! the fork, not on later parent draws.
 
 /// A top-level randomness domain, used to split one user-facing seed into
-/// mutually independent streams (see the [module docs](self)).
+/// mutually independent streams.
 ///
 /// Each variant carries a distinct 64-bit domain-separation tag that is
 /// mixed into the seed by [`DetRng::for_stream`], so two domains started
