@@ -110,9 +110,10 @@ impl SystemConfig {
     }
 
     /// Returns a copy with a different same-time arbitration policy for
-    /// every event calendar in the platform (engine and storage side).
-    /// The stored knob lives on the engine configuration;
-    /// [`SystemConfig::storage_config`] propagates it to the nodes.
+    /// the engine's event calendar ([`EngineConfig::arbitration`]), the
+    /// only calendar a run keeps. The storage side steps each node's
+    /// disks and policy timer in a fixed order, so the knob does not
+    /// reach it.
     pub fn with_arbitration(&self, arbitration: ArbitrationPolicy) -> Self {
         let mut c = self.clone();
         c.engine.arbitration = arbitration;
@@ -242,7 +243,6 @@ impl SystemConfig {
                 disk: self.disk.clone(),
                 policy: self.policy.clone(),
                 hit_latency: SimDuration::from_micros(500),
-                arbitration: self.engine.arbitration,
                 faults: self.fault.as_ref().map(|spec| {
                     FaultPlan::generate(
                         spec,
@@ -351,8 +351,8 @@ impl SystemConfigBuilder {
         self
     }
 
-    /// Sets the same-time arbitration policy for every event calendar in
-    /// the platform (see [`SystemConfig::with_arbitration`]).
+    /// Sets the same-time arbitration policy for the engine's event
+    /// calendar (see [`SystemConfig::with_arbitration`]).
     pub fn arbitration(mut self, arbitration: ArbitrationPolicy) -> Self {
         self.cfg = self.cfg.with_arbitration(arbitration);
         self

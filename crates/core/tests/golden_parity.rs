@@ -144,9 +144,10 @@ fn current_matrix() -> Vec<String> {
 /// debug run short: `hf` moves the most data, and `wupwise` exercises
 /// retries, crash redirects and crash deferrals under the heavy plan.
 /// The heavy plan runs again under `SeededShuffle(1|7)` (history-based,
-/// scheme off and on): only a fault plan sends an I/O node's array and its
-/// deferred-recovery queue through the node's event stepping, so these
-/// cells pin that path under shuffled same-instant order.
+/// scheme off and on): the shuffle permutes the engine's same-instant
+/// order, which moves when requests reach the faulted nodes, and only a
+/// fault plan sends an I/O node's array and its deferred-recovery queue
+/// through the node's event stepping.
 fn raid5_matrix() -> Vec<String> {
     let raid5 = SystemConfig {
         raid_level: RaidLevel::Raid5,

@@ -1,7 +1,6 @@
 //! The policy driver: an I/O node's disk array plus its power policy.
 
 use sdds_disk::{CompletedRequest, Disk, DiskCounters, DiskParams, DiskRequest};
-use simkit::kernel::{ArbitrationPolicy, Calendar, SlotId};
 use simkit::telemetry::{MetricsRegistry, TraceEvent, TraceSink};
 use simkit::{SimDuration, SimTime};
 
@@ -36,17 +35,13 @@ struct ArrayTrace {
 ///
 /// # Event dispatch
 ///
-/// Every event source rides the unified [`Calendar`] from
-/// [`simkit::kernel`]: each member disk holds one slot for its next phase
-/// boundary and the policy timer holds the last slot, so finding the next
-/// event source is one scan of the slots, and firing an event only
-/// advances the disks whose state actually changes at that instant —
-/// idle members of a large array are left alone until the enclosing
-/// `advance_to` target is reached. Disks register before the timer, so
-/// under the default [`ArbitrationPolicy::Deterministic`] a disk boundary
-/// and a timer due at the same instant fire disk-first (the historical
-/// order); [`PoweredArray::set_arbitration`] swaps in seeded-shuffle
-/// arbitration for same-time ties.
+/// Each step goes to the earliest of the members' next phase boundaries
+/// and the policy timer. Every member due at that instant steps, in index
+/// order, and only then does a timer due at the same instant fire, so the
+/// policy always sees the completions of that instant. A step advances
+/// only the members whose state changes at that instant; idle members of
+/// a large array are left alone until the enclosing `advance_to` target
+/// is reached.
 ///
 /// # Example
 ///
@@ -83,18 +78,11 @@ pub struct PoweredArray {
     /// Member completions not yet drained, counted where `outstanding`
     /// drops, so a drain with nothing to hand out skips the members.
     undrained: usize,
-    /// The unified event calendar: one slot per member disk (its next
-    /// phase boundary) plus one slot for the policy's pending timer.
-    cal: Calendar,
-    /// Calendar slot of member disk `i` (registered in index order, so
-    /// deterministic arbitration preserves the historical disk ordering).
-    disk_slots: Vec<SlotId>,
-    /// Calendar slot of the policy timer (registered after every disk:
-    /// at equal times, disks fire first under deterministic arbitration).
-    timer_slot: SlotId,
+    /// When the policy's pending timer fires, if one is armed.
+    timer: Option<SimTime>,
     /// Cached result of [`PoweredArray::next_event_time`], kept current at
     /// every public-API boundary, so a call reads a field instead of
-    /// scanning the calendar.
+    /// scanning the members.
     cached_next: Option<SimTime>,
     /// Telemetry buffer for policy decisions; `None` (the default) keeps
     /// tracing entirely off the hot path.
@@ -131,9 +119,6 @@ impl PoweredArray {
         let disks = (0..count)
             .map(|_| Disk::new(params.clone()))
             .collect::<Result<Vec<_>, _>>()?;
-        let mut cal = Calendar::new(ArbitrationPolicy::Deterministic);
-        let disk_slots = (0..count).map(|_| cal.register()).collect();
-        let timer_slot = cal.register();
         Ok(PoweredArray {
             disks,
             policy,
@@ -142,19 +127,10 @@ impl PoweredArray {
             node_idle_since: Some(SimTime::ZERO),
             outstanding: 0,
             undrained: 0,
-            cal,
-            disk_slots,
-            timer_slot,
+            timer: None,
             cached_next: None,
             trace: None,
         })
-    }
-
-    /// Replaces the same-time arbitration policy of this array's event
-    /// calendar. Call before the first submission: switching mid-run
-    /// would leave pending entries ordered under the old policy.
-    pub fn set_arbitration(&mut self, policy: ArbitrationPolicy) {
-        self.cal.set_policy(policy);
     }
 
     /// Enables structured tracing on the driver and every member disk,
@@ -296,7 +272,7 @@ impl PoweredArray {
     ///
     /// When no member boundary or policy timer is due by `t` and no idle
     /// signal is pending, the members only accrue energy up to `t`: the
-    /// same cut point as the full path, without its calendar and idle
+    /// same cut point as the full path, without its stepping and idle
     /// bookkeeping.
     ///
     /// # Panics
@@ -320,11 +296,14 @@ impl PoweredArray {
             }
             return;
         }
-        while let Some((at, slot)) = self.cal.pop_due(t) {
-            if slot == self.timer_slot {
-                self.fire_timer(at);
-            } else {
-                self.step_disks(at, slot);
+        // Members due at an instant step before a timer due at the same
+        // instant, so the policy sees that instant's completions.
+        loop {
+            let member = self.next_member_time();
+            match member.into_iter().chain(self.timer).min() {
+                Some(at) if at <= t && member == Some(at) => self.step_disks(at),
+                Some(at) if at <= t => self.fire_timer(at),
+                _ => break,
             }
         }
         for disk in &mut self.disks {
@@ -363,15 +342,13 @@ impl PoweredArray {
         }
         if self.outstanding == 0 {
             // Any pending idle-period action is now moot.
-            self.cal.retarget(self.timer_slot, None);
+            self.timer = None;
         }
         self.dispatch(PolicyEvent::RequestArrival { t, completed_idle }, "arrival");
         self.disks[disk].submit(request, t);
         self.outstanding += 1;
         self.idle_signaled = false;
         self.node_idle_since = None;
-        // The arrival events and the submission may have started service or
-        // transitions on any member disk; `dispatch` re-syncs after each.
         self.dispatch(PolicyEvent::AfterSubmit { t }, "after-submit");
         self.refresh_cached_next();
     }
@@ -419,53 +396,36 @@ impl PoweredArray {
             .sum()
     }
 
-    /// Retargets disk `i`'s calendar slot after its schedule may have
-    /// changed (a no-op when the next event time is unchanged).
-    fn sync_disk(&mut self, i: usize) {
-        self.cal
-            .retarget(self.disk_slots[i], self.disks[i].next_event_time());
-    }
-
-    /// Re-caches every disk's next event time (used after policy hooks,
-    /// which may touch any member).
-    fn sync_all_disks(&mut self) {
-        for i in 0..self.disks.len() {
-            self.sync_disk(i);
-        }
+    /// The earliest phase boundary of any member disk.
+    fn next_member_time(&self) -> Option<SimTime> {
+        self.disks.iter().filter_map(Disk::next_event_time).min()
     }
 
     /// Recomputes the cached public next-event time.
     fn refresh_cached_next(&mut self) {
-        self.cached_next = self.cal.peek_time();
+        self.cached_next = self.next_member_time().into_iter().chain(self.timer).min();
     }
 
-    /// Fires the disk boundary popped at `to` (slot `first`), then every
-    /// further disk due at the same instant that the arbitration policy
-    /// orders before the timer — under deterministic arbitration that is
-    /// every due disk, in index order, exactly the historical batch.
-    /// Idle members are left untouched.
-    fn step_disks(&mut self, to: SimTime, first: SlotId) {
-        let mut slot = first;
-        loop {
-            let i = slot.index();
-            let before = self.disks[i].outstanding();
-            self.disks[i].advance_to(to);
-            let completed = before - self.disks[i].outstanding();
-            self.outstanding -= completed;
-            self.undrained += completed;
-            self.sync_disk(i);
-            match self.cal.peek() {
-                Some((at, s)) if at == to && s != self.timer_slot => {
-                    self.cal.pop();
-                    slot = s;
-                }
-                _ => break,
+    /// Steps every member whose boundary is due at `at`, in index order,
+    /// counting the completions it hands out. Idle members are left
+    /// untouched.
+    fn step_disks(&mut self, at: SimTime) {
+        for disk in &mut self.disks {
+            if disk.next_event_time() == Some(at) {
+                let before = disk.outstanding();
+                disk.advance_to(at);
+                let completed = before - disk.outstanding();
+                self.outstanding -= completed;
+                self.undrained += completed;
             }
         }
         self.refresh_idle_state();
     }
 
+    /// Fires the policy timer due at `at`. Every member due at `at` has
+    /// stepped already, so catching the others up to `at` only accrues.
     fn fire_timer(&mut self, at: SimTime) {
+        self.timer = None;
         for disk in &mut self.disks {
             if disk.now() < at {
                 disk.advance_to(at);
@@ -476,9 +436,8 @@ impl PoweredArray {
     }
 
     /// Runs one event through the policy: decide, apply the emitted
-    /// directives at the event time, honour the timer directive, attribute
-    /// any power actions to `trigger` in the trace, and re-sync every
-    /// member disk's calendar slot (a decision may touch any member).
+    /// directives at the event time, honour the timer directive, and
+    /// attribute any power actions to `trigger` in the trace.
     fn dispatch(&mut self, event: PolicyEvent, trigger: &'static str) {
         let t = event.at();
         let before = self.counters_before_hook();
@@ -490,13 +449,12 @@ impl PoweredArray {
         self.decision.apply(t, &mut self.disks);
         match self.decision.timer() {
             TimerDirective::Keep => {}
-            TimerDirective::Clear => self.cal.retarget(self.timer_slot, None),
-            TimerDirective::At(at) => self.cal.retarget(self.timer_slot, Some(at)),
+            TimerDirective::Clear => self.timer = None,
+            TimerDirective::At(at) => self.timer = Some(at),
         }
         if let (Some(before), Some(snap)) = (before, snap) {
             self.record_policy_actions(t, trigger, &before, snap);
         }
-        self.sync_all_disks();
     }
 
     /// Checks (in debug builds) that the incremental outstanding count
@@ -779,6 +737,48 @@ mod tests {
             busy >= idle_max + 2 * submits,
             "busy disk advanced {busy} times vs idle {idle_max}"
         );
+    }
+
+    /// Arms its timer at the member's next phase boundary after every
+    /// submit and at every timer, so each boundary of a request ties with
+    /// a timer.
+    #[derive(Debug)]
+    struct TimerOnBoundary;
+
+    impl EnergyPolicy for TimerOnBoundary {
+        fn name(&self) -> &'static str {
+            "timer-on-boundary"
+        }
+
+        fn decide(&mut self, event: PolicyEvent, disks: &[Disk], out: &mut Decision) {
+            if let PolicyEvent::AfterSubmit { .. } | PolicyEvent::Timer { .. } = event {
+                if let Some(at) = disks[0].next_event_time() {
+                    out.set_timer(at);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn members_due_with_the_timer_step_first() {
+        let mut node =
+            PoweredArray::with_policy(DiskParams::paper_defaults(), 1, Box::new(TimerOnBoundary))
+                .unwrap();
+        node.submit(0, req(3), t(0));
+        // The timer ties with the seek end, then with the completion. The
+        // member steps first each time, so the timer that fires at the
+        // completion finds it counted, not handed out behind the count.
+        let seek_end = node.next_event_time().expect("seek in progress");
+        assert!(seek_end > t(0));
+        node.advance_to(seek_end);
+        let done = node.next_event_time().expect("transfer in progress");
+        assert!(done > seek_end);
+        node.advance_to(done);
+        assert_eq!(node.next_event_time(), None);
+        assert_eq!(node.drain_completions().len(), 1);
+        node.finish(t(10_000_000));
+        assert_eq!(node.disks()[0].counters().requests_served, 1);
+        assert!(node.drain_completions().is_empty());
     }
 
     #[test]

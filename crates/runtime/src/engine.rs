@@ -44,11 +44,12 @@ pub struct EngineConfig {
     /// deferred work.
     pub prefetch_timeout: Option<SimDuration>,
     /// Same-time arbitration policy for the engine's unified event
-    /// calendar (and, plumbed through the system configuration, the
-    /// storage-side calendars). [`ArbitrationPolicy::Deterministic`] —
-    /// the default — fires same-time events in registration order
-    /// (submissions, storage, timeouts, then processes by index), which
-    /// keeps every simulated metric bit-for-bit reproducible.
+    /// calendar. [`ArbitrationPolicy::Deterministic`] — the default —
+    /// fires same-time events in registration order (submissions,
+    /// storage, timeouts, then processes by index), which keeps every
+    /// simulated metric bit-for-bit reproducible. The storage side has
+    /// no calendar: each power driver steps its due disks in index order
+    /// before a policy timer due at the same instant, under any policy.
     pub arbitration: ArbitrationPolicy,
 }
 

@@ -2,8 +2,9 @@
 //!
 //! Historically each layer of the simulator kept its own heap (the power
 //! driver's lazy disk calendar, the engine's ready-heap, the storage
-//! system's cached next-event scan). This module replaces all of them
-//! with a single abstraction:
+//! system's cached next-event scan). This module replaced all of them
+//! with a single abstraction; the layers below the engine have since
+//! dropped it for the minimum of their sources' next times:
 //!
 //! * [`Calendar`] — a slot-based calendar queue. Every event source
 //!   registers once and receives a [`SlotId`]; thereafter it only
@@ -21,9 +22,10 @@
 //!   or [`ArbitrationPolicy::SeededShuffle`] (a seeded hash permutes
 //!   same-time slots — determinism fuzzing).
 //!
-//! Each simulation layer drives its own calendar in its own loop, since
-//! its event sources need mutable access to shared state; sharded time
-//! domains compose through [`crate::shard`].
+//! Each simulation driver that keeps a calendar (the engine, the rebuild
+//! scenario, each scene shard) runs it in its own loop, since its event
+//! sources need mutable access to shared state; sharded time domains
+//! compose through [`crate::shard`].
 //!
 //! # Determinism contract
 //!
@@ -116,17 +118,6 @@ impl Calendar {
             policy,
             due: Vec::new(),
         }
-    }
-
-    /// Replaces the arbitration policy. Switch only while no slot is due
-    /// (typically right after construction), so one policy never orders
-    /// events scheduled under another.
-    pub fn set_policy(&mut self, policy: ArbitrationPolicy) {
-        debug_assert!(
-            self.due.iter().all(|&d| d == PARKED),
-            "arbitration policy changed with pending entries"
-        );
-        self.policy = policy;
     }
 
     /// Registers a new event source and returns its slot.

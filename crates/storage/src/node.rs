@@ -6,7 +6,6 @@ use sdds_disk::{
 use sdds_power::{PolicyContext, PolicyKind, PoweredArray};
 use simkit::fault::{DiskFaultProfile, FaultCounters, FaultPlan};
 use simkit::hash::FxHashMap;
-use simkit::kernel::ArbitrationPolicy;
 use simkit::stats::{BucketHistogram, DurationHistogram};
 use simkit::telemetry::{MetricsRegistry, TraceEvent, TraceSink};
 use simkit::{EventQueue, SimDuration, SimTime};
@@ -33,10 +32,6 @@ pub struct NodeConfig {
     /// entire fault machinery off the hot path and every simulated metric
     /// bit-for-bit identical to a fault-free build.
     pub faults: Option<FaultPlan>,
-    /// Same-time arbitration policy for the power driver's disk/timer
-    /// calendar. [`ArbitrationPolicy::Deterministic`] — the default —
-    /// keeps every simulated metric bit-for-bit reproducible.
-    pub arbitration: ArbitrationPolicy,
 }
 
 impl NodeConfig {
@@ -49,7 +44,6 @@ impl NodeConfig {
             policy,
             hit_latency: SimDuration::from_micros(500),
             faults: None,
-            arbitration: ArbitrationPolicy::Deterministic,
         }
     }
 
@@ -164,7 +158,6 @@ impl IoNode {
             .build(&config.disk, PolicyContext::for_node(id))?;
         let mut array =
             PoweredArray::with_policy(config.disk.clone(), config.raid.disks(), policy)?;
-        array.set_arbitration(config.arbitration);
         let faults = config.faults.as_ref().and_then(|plan| {
             (id < plan.io_nodes()).then(|| {
                 let profiles = plan.node(id);
