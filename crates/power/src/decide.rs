@@ -274,6 +274,45 @@ impl Decision {
             }
         }
     }
+
+    /// Brings the node back to full speed as a spent window closes: spins
+    /// every member of `disks` up when any of them reports no current
+    /// speed (standby or a transition), and otherwise ramps each member
+    /// that runs below `max_rpm` back at once.
+    pub(crate) fn wake_to_full_speed(&mut self, disks: &[Disk], max_rpm: Rpm) {
+        if disks.iter().any(|d| d.current_rpm().is_none()) {
+            for i in 0..disks.len() {
+                self.spin_up(i);
+            }
+            return;
+        }
+        for (i, d) in disks.iter().enumerate() {
+            if d.current_rpm().is_some_and(|rpm| rpm < max_rpm) {
+                self.set_rpm(i, max_rpm, RpmChangePriority::Immediate);
+            }
+        }
+    }
+
+    /// The speed the node has settled at when a timer fires at `t`: the
+    /// first member's, once every member of `disks` is request-free and
+    /// at a stable speed. Otherwise (busy, or a transition still running)
+    /// the decision waits: re-arms the timer `retry` after `t` and
+    /// returns `None`.
+    pub(crate) fn settled_speed(
+        &mut self,
+        disks: &[Disk],
+        t: SimTime,
+        retry: SimDuration,
+    ) -> Option<Rpm> {
+        let speed = disks
+            .first()
+            .and_then(Disk::current_rpm)
+            .filter(|_| node_idle(disks));
+        if speed.is_none() {
+            self.set_timer(t + retry);
+        }
+        speed
+    }
 }
 
 /// A power-management strategy driven by the kernel event stream.
@@ -355,7 +394,7 @@ pub(crate) fn drive(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sdds_disk::DiskParams;
+    use sdds_disk::{DiskParams, DiskRequest, RequestKind};
 
     #[test]
     fn decision_reset_clears_directives_and_timer() {
@@ -504,6 +543,69 @@ mod tests {
                 rpm: params.max_rpm,
                 priority: RpmChangePriority::WhenIdle,
             }]
+        );
+        assert_eq!(out.timer(), TimerDirective::Keep);
+    }
+
+    #[test]
+    fn wake_spins_every_member_up_unless_all_are_spinning() {
+        let params = DiskParams::paper_defaults();
+        let mut disks = vec![
+            Disk::new(params.clone()).unwrap(),
+            Disk::new(params.clone()).unwrap(),
+            Disk::new(params.clone()).unwrap(),
+        ];
+        let slow = Rpm::new(params.max_rpm.get() - params.rpm_step);
+        disks[0].request_rpm_change(SimTime::ZERO, slow, RpmChangePriority::Immediate);
+        disks[1].start_spin_down(SimTime::ZERO);
+        let settled = SimTime::ZERO + params.spin_down_time;
+        for d in &mut disks {
+            d.advance_to(settled);
+        }
+        // One member in standby: the whole node spins up.
+        let mut out = Decision::new();
+        out.wake_to_full_speed(&disks, params.max_rpm);
+        let spin_ups: Vec<_> = (0..3).map(|disk| PowerDirective::SpinUp { disk }).collect();
+        assert_eq!(out.directives(), &spin_ups[..]);
+        // Every member spinning: only the slow one ramps back, at once.
+        disks.remove(1);
+        let mut out = Decision::new();
+        out.wake_to_full_speed(&disks, params.max_rpm);
+        assert_eq!(
+            out.directives(),
+            &[PowerDirective::SetRpm {
+                disk: 0,
+                rpm: params.max_rpm,
+                priority: RpmChangePriority::Immediate,
+            }]
+        );
+        assert_eq!(out.timer(), TimerDirective::Keep);
+    }
+
+    #[test]
+    fn settled_speed_retries_until_every_member_is_idle() {
+        let params = DiskParams::paper_defaults();
+        let mut disks = vec![
+            Disk::new(params.clone()).unwrap(),
+            Disk::new(params.clone()).unwrap(),
+        ];
+        let retry = SimDuration::from_millis(100);
+        let t = SimTime::from_micros(2_000_000);
+        for d in &mut disks {
+            d.advance_to(t);
+        }
+        disks[1].submit(DiskRequest::new(0, RequestKind::Read, 0, 8), t);
+        let mut out = Decision::new();
+        assert_eq!(out.settled_speed(&disks, t, retry), None);
+        assert_eq!(out.timer(), TimerDirective::At(t + retry));
+        let later = t + SimDuration::from_secs(1);
+        for d in &mut disks {
+            d.advance_to(later);
+        }
+        let mut out = Decision::new();
+        assert_eq!(
+            out.settled_speed(&disks, later, retry),
+            Some(params.max_rpm)
         );
         assert_eq!(out.timer(), TimerDirective::Keep);
     }

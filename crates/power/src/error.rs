@@ -65,6 +65,23 @@ impl fmt::Display for PolicyError {
     }
 }
 
+/// Rejects a tuning knob outside `(0, 1]` with a typed error.
+pub(crate) fn check_unit_knob(
+    policy: &'static str,
+    field: &'static str,
+    value: f64,
+) -> Result<(), PolicyError> {
+    if !value.is_finite() || value <= 0.0 || value > 1.0 {
+        return Err(PolicyError::Knob {
+            policy,
+            field,
+            value,
+            constraint: "(0, 1]",
+        });
+    }
+    Ok(())
+}
+
 impl std::error::Error for PolicyError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {

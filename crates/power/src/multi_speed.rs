@@ -4,10 +4,9 @@ use sdds_disk::{Disk, DiskParams, Rpm, RpmChangePriority, SpindlePowerModel};
 use simkit::{SimDuration, SimTime};
 
 use crate::analysis;
-use crate::decide::{node_idle, Decision, EnergyPolicy, PolicyEvent};
-use crate::error::PolicyError;
+use crate::decide::{Decision, EnergyPolicy, PolicyEvent};
+use crate::error::{check_unit_knob, PolicyError};
 use crate::predictor::IdlePredictor;
-use crate::spin_down::check_unit_knob;
 
 /// The paper's *History Based* strategy (§II, Fig. 3(a)): predict the idle
 /// length from the history of comparable idle periods and transition the
@@ -109,13 +108,6 @@ impl HistoryBasedMultiSpeed {
         self.activation
     }
 
-    /// Emits an immediate speed change for every member disk.
-    fn set_all(disks: &[Disk], out: &mut Decision, level: Rpm) {
-        for i in 0..disks.len() {
-            out.set_rpm(i, level, RpmChangePriority::Immediate);
-        }
-    }
-
     /// The fastest level at most `steps` below maximum (the paper's
     /// bounded-performance-impact rule for short-horizon decisions).
     fn bounded_level(&self, level: Rpm, steps: u32) -> Rpm {
@@ -133,16 +125,8 @@ impl HistoryBasedMultiSpeed {
             out.clear_timer();
             return;
         };
-        if !node_idle(disks) {
-            // Mid-transition or busy: retry shortly; the decision stands.
-            out.set_timer(t + SimDuration::from_millis(100));
-            return;
-        }
-        let Some(current) = disks.first().and_then(|d| d.current_rpm()) else {
-            // `node_idle` held above, so every disk reports a stable
-            // speed; re-check shortly if that somehow changed.
-            debug_assert!(false, "node_idle checked");
-            out.set_timer(t + SimDuration::from_millis(100));
+        // Mid-transition or busy: retry shortly; the decision stands.
+        let Some(current) = out.settled_speed(disks, t, SimDuration::from_millis(100)) else {
             return;
         };
         match self.pending {
@@ -158,7 +142,9 @@ impl HistoryBasedMultiSpeed {
                     let best = analysis::best_level(&self.params, &self.model, current, remaining);
                     let bounded = self.bounded_level(best, 3);
                     if bounded != current {
-                        Self::set_all(disks, out, bounded);
+                        for i in 0..disks.len() {
+                            out.set_rpm(i, bounded, RpmChangePriority::Immediate);
+                        }
                         let ramp_back = self.params.rpm_change_time(bounded, self.params.max_rpm);
                         let short_end = started + scaled.max(self.activation);
                         let wake = short_end - ramp_back.min(scaled);
@@ -176,9 +162,7 @@ impl HistoryBasedMultiSpeed {
                 // The short-gap estimate is nearly up: return to full speed
                 // so an on-time arrival is served fast, then re-check at
                 // the long gate in case the idleness persists.
-                if current < self.params.max_rpm {
-                    Self::set_all(disks, out, self.params.max_rpm);
-                }
+                out.wake_to_full_speed(disks, self.params.max_rpm);
                 self.pending = Timer::LongGate;
                 out.set_timer((started + self.long_gate).max(t));
             }
@@ -203,9 +187,7 @@ impl HistoryBasedMultiSpeed {
             Timer::Wake => {
                 // Return to the fastest speed ahead of the predicted end.
                 self.pending = Timer::None;
-                if current < self.params.max_rpm {
-                    Self::set_all(disks, out, self.params.max_rpm);
-                }
+                out.wake_to_full_speed(disks, self.params.max_rpm);
                 out.clear_timer();
             }
         }
@@ -312,15 +294,9 @@ impl EnergyPolicy for StaggeredMultiSpeed {
         match event {
             PolicyEvent::IdleStart { t } => out.set_timer(t + self.step_timeout),
             PolicyEvent::Timer { t } => {
-                if !node_idle(disks) {
-                    // Mid-transition (the previous step is still in
-                    // progress): check again after another timeout.
-                    out.set_timer(t + self.step_timeout);
-                    return;
-                }
-                let Some(rpm) = disks.first().and_then(|d| d.current_rpm()) else {
-                    debug_assert!(false, "node_idle checked");
-                    out.set_timer(t + self.step_timeout);
+                // Mid-transition (the previous step is still in progress):
+                // check again after another timeout.
+                let Some(rpm) = out.settled_speed(disks, t, self.step_timeout) else {
                     return;
                 };
                 match self.level_below(rpm) {

@@ -21,15 +21,14 @@
 //! ([`simkit::StreamId::Policy`] narrowed by node index); after
 //! construction every decision is a pure function of the event stream.
 
-use sdds_disk::{Disk, DiskParams, RpmChangePriority, SpindlePowerModel};
+use sdds_disk::{Disk, DiskParams, SpindlePowerModel};
 use simkit::{DetRng, SimDuration, SimTime};
 
 use crate::analysis;
-use crate::decide::{node_idle, Decision, EnergyPolicy, PolicyEvent};
-use crate::error::PolicyError;
+use crate::decide::{Decision, EnergyPolicy, PolicyEvent};
+use crate::error::{check_unit_knob, PolicyError};
 use crate::multi_speed::HistoryBasedMultiSpeed;
 use crate::predictor::IdlePredictor;
-use crate::spin_down::check_unit_knob;
 
 /// Which decision an [`OnlineMultiSpeed`] timer drives.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -110,13 +109,7 @@ impl OnlineMultiSpeed {
             out.clear_timer();
             return;
         };
-        if !node_idle(disks) {
-            out.set_timer(t + SimDuration::from_millis(100));
-            return;
-        }
-        let Some(current) = disks.first().and_then(|d| d.current_rpm()) else {
-            debug_assert!(false, "node_idle checked");
-            out.set_timer(t + SimDuration::from_millis(100));
+        let Some(current) = out.settled_speed(disks, t, SimDuration::from_millis(100)) else {
             return;
         };
         match self.pending {
@@ -139,11 +132,7 @@ impl OnlineMultiSpeed {
             }
             Pending::Wake => {
                 self.pending = Pending::None;
-                if current < self.params.max_rpm {
-                    for i in 0..disks.len() {
-                        out.set_rpm(i, self.params.max_rpm, RpmChangePriority::Immediate);
-                    }
-                }
+                out.wake_to_full_speed(disks, self.params.max_rpm);
                 out.clear_timer();
             }
         }

@@ -11,6 +11,7 @@ use sdds_disk::DiskParams;
 use simkit::{DetRng, SimDuration, StreamId};
 
 use crate::decide::EnergyPolicy;
+use crate::error::check_unit_knob;
 use crate::online::{HybridPolicy, OnlineMultiSpeed};
 use crate::table::TableLookup;
 use crate::{
@@ -238,14 +239,7 @@ impl PolicyKind {
             PolicyKind::StaggeredMultiSpeed { .. } => &[],
         };
         for &(field, value) in knobs {
-            if !value.is_finite() || value <= 0.0 || value > 1.0 {
-                return Err(PolicyError::Knob {
-                    policy: self.name(),
-                    field,
-                    value,
-                    constraint: "(0, 1]",
-                });
-            }
+            check_unit_knob(self.name(), field, value)?;
         }
         if self.needs_multi_speed() && params.min_rpm == params.max_rpm {
             return Err(PolicyError::NeedsMultiSpeed {

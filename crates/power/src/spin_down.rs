@@ -4,25 +4,8 @@ use sdds_disk::{Disk, DiskParams, SpindlePowerModel};
 use simkit::{SimDuration, SimTime};
 
 use crate::decide::{node_idle, Decision, EnergyPolicy, PolicyEvent};
-use crate::error::PolicyError;
+use crate::error::{check_unit_knob, PolicyError};
 use crate::predictor::IdlePredictor;
-
-/// Rejects a tuning knob outside `(0, 1]` with a typed error.
-pub(crate) fn check_unit_knob(
-    policy: &'static str,
-    field: &'static str,
-    value: f64,
-) -> Result<(), PolicyError> {
-    if !value.is_finite() || value <= 0.0 || value > 1.0 {
-        return Err(PolicyError::Knob {
-            policy,
-            field,
-            value,
-            constraint: "(0, 1]",
-        });
-    }
-    Ok(())
-}
 
 /// The paper's *Simple* strategy (§II, Fig. 2): transition the I/O node to
 /// the spin-down mode after it stays idle for a fixed timeout, and back to

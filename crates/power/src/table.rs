@@ -10,7 +10,7 @@
 
 use std::sync::Arc;
 
-use sdds_disk::{Disk, DiskParams, RpmChangePriority, SpindlePowerModel};
+use sdds_disk::{Disk, DiskParams, SpindlePowerModel};
 use simkit::SimDuration;
 
 use crate::analysis;
@@ -116,17 +116,7 @@ impl EnergyPolicy for TableLookup {
             }
             PolicyEvent::Timer { .. } => {
                 // The forecast window is closing: restore full readiness.
-                if disks.iter().any(|d| d.current_rpm().is_none()) {
-                    for i in 0..disks.len() {
-                        out.spin_up(i);
-                    }
-                } else {
-                    for (i, d) in disks.iter().enumerate() {
-                        if d.current_rpm().is_some_and(|rpm| rpm < self.params.max_rpm) {
-                            out.set_rpm(i, self.params.max_rpm, RpmChangePriority::Immediate);
-                        }
-                    }
-                }
+                out.wake_to_full_speed(disks, self.params.max_rpm);
                 out.clear_timer();
             }
             PolicyEvent::RequestArrival { .. } => {
