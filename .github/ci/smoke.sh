@@ -137,8 +137,20 @@ EOF
     echo "rebuild light: deterministic across separate processes"
     ;;
 
+  examples)
+    # Every program under examples/, built and run in release (`cargo
+    # test` only builds them). An example panics, and so exits non-zero,
+    # when a run it makes fails; custom_policy drives a user-written
+    # EnergyPolicy through the power driver. None writes files.
+    for src in examples/*.rs; do
+      name="$(basename "$src" .rs)"
+      echo "== example $name"
+      cargo run --locked --release --example "$name"
+    done
+    ;;
+
   *)
-    echo "usage: smoke.sh {headline|trace|fault|online|attrib|scale|rebuild}" >&2
+    echo "usage: smoke.sh {headline|trace|fault|online|attrib|scale|rebuild|examples}" >&2
     exit 2
     ;;
 esac
