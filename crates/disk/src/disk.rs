@@ -317,11 +317,6 @@ impl Disk {
         self.counters
     }
 
-    /// Response-time summary over all served requests.
-    pub fn response_times(&self) -> &OnlineStats {
-        &self.response_times
-    }
-
     /// The next instant at which the disk's state will change on its own
     /// (service phase boundary or transition end), if any.
     pub fn next_event_time(&self) -> Option<SimTime> {

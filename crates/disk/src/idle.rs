@@ -7,7 +7,7 @@
 //! are what Fig. 12(a)/(b) plot, so the tracker observes the request stream
 //! rather than the power-state machine.
 
-use simkit::stats::{BucketHistogram, DurationHistogram};
+use simkit::stats::BucketHistogram;
 use simkit::{SimDuration, SimTime};
 
 /// Records disk idle-period lengths into the paper's CDF buckets.
@@ -26,10 +26,8 @@ use simkit::{SimDuration, SimTime};
 #[derive(Debug, Clone)]
 pub struct IdleTracker {
     histogram: BucketHistogram,
-    time_histogram: DurationHistogram,
     idle_since: Option<SimTime>,
     total_idle: SimDuration,
-    longest: SimDuration,
 }
 
 impl IdleTracker {
@@ -39,10 +37,8 @@ impl IdleTracker {
     pub fn new() -> Self {
         IdleTracker {
             histogram: BucketHistogram::paper_idle_buckets(),
-            time_histogram: DurationHistogram::paper_idle_buckets(),
             idle_since: Some(SimTime::ZERO),
             total_idle: SimDuration::ZERO,
-            longest: SimDuration::ZERO,
         }
     }
 
@@ -60,9 +56,7 @@ impl IdleTracker {
             let len = t.saturating_since(start);
             if !len.is_zero() {
                 self.histogram.record(len);
-                self.time_histogram.record(len);
                 self.total_idle += len;
-                self.longest = self.longest.max(len);
             }
         }
     }
@@ -78,31 +72,15 @@ impl IdleTracker {
         self.idle_since.is_some()
     }
 
-    /// When the current idle period began, if any.
-    pub fn idle_since(&self) -> Option<SimTime> {
-        self.idle_since
-    }
-
     /// The bucketed histogram of completed idle periods (period counts —
     /// the population Fig. 12 plots).
     pub fn histogram(&self) -> &BucketHistogram {
         &self.histogram
     }
 
-    /// The time-weighted histogram: where the idle *time* lives, which is
-    /// what determines the energy opportunity.
-    pub fn time_histogram(&self) -> &DurationHistogram {
-        &self.time_histogram
-    }
-
     /// Sum of all completed idle-period lengths.
     pub fn total_idle(&self) -> SimDuration {
         self.total_idle
-    }
-
-    /// Longest completed idle period.
-    pub fn longest(&self) -> SimDuration {
-        self.longest
     }
 }
 
@@ -138,14 +116,6 @@ mod tests {
         tr.work_finished(t(60_000));
         tr.finish(t(1_060_000)); // 1 s final period
         assert_eq!(tr.histogram().total(), 3);
-        assert_eq!(tr.time_histogram().total(), tr.total_idle());
-        // Time-weighted: the 1 s period dominates.
-        assert!(
-            tr.time_histogram()
-                .share_at_or_below(SimDuration::from_millis(100))
-                < 0.1
-        );
-        assert_eq!(tr.longest(), SimDuration::from_secs(1));
         assert_eq!(
             tr.total_idle(),
             SimDuration::from_micros(1_000 + 50_000 + 1_000_000)

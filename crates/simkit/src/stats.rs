@@ -276,140 +276,6 @@ impl fmt::Display for BucketHistogram {
     }
 }
 
-/// A histogram over the same duration buckets as [`BucketHistogram`], but
-/// accumulating the *total time* falling in each bucket rather than the
-/// count — the view that says where the idle time (and hence the energy
-/// opportunity) actually lives.
-///
-/// # Example
-///
-/// ```
-/// use simkit::stats::DurationHistogram;
-/// use simkit::SimDuration;
-///
-/// let mut h = DurationHistogram::paper_idle_buckets();
-/// h.record(SimDuration::from_millis(3));      // 3 ms of sub-5ms idle
-/// h.record(SimDuration::from_secs(60));       // a minute-long idle
-/// // Virtually all idle *time* is in the long bucket even though the
-/// // short bucket holds half the *periods*.
-/// let share = h.share_at_or_below(SimDuration::from_secs(1));
-/// assert!(share < 0.01);
-/// ```
-#[derive(Debug, Clone, PartialEq)]
-pub struct DurationHistogram {
-    edges: Vec<SimDuration>,
-    totals: Vec<SimDuration>,
-    grand_total: SimDuration,
-}
-
-impl DurationHistogram {
-    /// Creates a histogram with the given strictly-increasing bucket edges.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `edges` is empty or not strictly increasing.
-    pub fn new(edges: Vec<SimDuration>) -> Self {
-        assert!(
-            !edges.is_empty(),
-            "histogram needs at least one bucket edge"
-        );
-        assert!(
-            edges.windows(2).all(|w| w[0] < w[1]),
-            "histogram edges must be strictly increasing"
-        );
-        let totals = vec![SimDuration::ZERO; edges.len() + 1];
-        DurationHistogram {
-            edges,
-            totals,
-            grand_total: SimDuration::ZERO,
-        }
-    }
-
-    /// The paper's Fig. 12 bucket edges.
-    pub fn paper_idle_buckets() -> Self {
-        let ms = [
-            5u64, 10, 50, 100, 500, 1_000, 5_000, 10_000, 20_000, 30_000, 40_000, 50_000,
-        ];
-        DurationHistogram::new(ms.iter().map(|&m| SimDuration::from_millis(m)).collect())
-    }
-
-    /// Adds one period of the given length: its entire duration lands in
-    /// the bucket its length selects.
-    pub fn record(&mut self, value: SimDuration) {
-        let idx = self
-            .edges
-            .iter()
-            .position(|&e| value <= e)
-            .unwrap_or(self.edges.len());
-        self.totals[idx] += value;
-        self.grand_total += value;
-    }
-
-    /// Total recorded time.
-    pub fn total(&self) -> SimDuration {
-        self.grand_total
-    }
-
-    /// Per-bucket time totals (last entry is the overflow bucket).
-    pub fn totals(&self) -> &[SimDuration] {
-        &self.totals
-    }
-
-    /// The share (0..=1) of total time contributed by periods of length at
-    /// most `value` (bucket-granular).
-    pub fn share_at_or_below(&self, value: SimDuration) -> f64 {
-        if self.grand_total.is_zero() {
-            return 0.0;
-        }
-        let mut acc = SimDuration::ZERO;
-        for (i, &e) in self.edges.iter().enumerate() {
-            if e <= value {
-                acc += self.totals[i];
-            } else {
-                break;
-            }
-        }
-        acc.as_secs_f64() / self.grand_total.as_secs_f64()
-    }
-
-    /// The cumulative time distribution, analogous to
-    /// [`BucketHistogram::cdf`].
-    pub fn cdf(&self) -> Vec<(SimDuration, f64)> {
-        if self.grand_total.is_zero() {
-            return Vec::new();
-        }
-        let mut acc = SimDuration::ZERO;
-        let mut out = Vec::with_capacity(self.totals.len());
-        for (i, &t) in self.totals.iter().enumerate() {
-            acc += t;
-            let edge = self
-                .edges
-                .get(i)
-                .or_else(|| self.edges.last())
-                .copied()
-                .unwrap_or(SimDuration::MAX);
-            out.push((edge, acc.as_secs_f64() / self.grand_total.as_secs_f64()));
-        }
-        out
-    }
-
-    /// Merges another histogram with identical edges.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the edges differ.
-    pub fn merge(&mut self, other: &DurationHistogram) {
-        assert_eq!(
-            self.edges, other.edges,
-            "cannot merge histograms with different bucket edges"
-        );
-        for (a, b) in self.totals.iter_mut().zip(&other.totals) {
-            *a += *b;
-        }
-        self.grand_total += other.grand_total;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -526,31 +392,5 @@ mod tests {
             SimDuration::from_millis(10),
             SimDuration::from_millis(10),
         ]);
-    }
-
-    #[test]
-    fn duration_histogram_weights_by_time() {
-        let mut h = DurationHistogram::paper_idle_buckets();
-        for _ in 0..1_000 {
-            h.record(SimDuration::from_millis(3)); // 3 s total, short bucket
-        }
-        h.record(SimDuration::from_secs(27)); // one long period
-        assert_eq!(h.total(), SimDuration::from_secs(30));
-        // Periods: 1000 short vs 1 long; time: 10% short vs 90% long.
-        let share_short = h.share_at_or_below(SimDuration::from_millis(5));
-        assert!((share_short - 0.1).abs() < 1e-9, "got {share_short}");
-        let cdf = h.cdf();
-        assert!((cdf.last().unwrap().1 - 1.0).abs() < 1e-12);
-        assert!(cdf.windows(2).all(|w| w[0].1 <= w[1].1));
-    }
-
-    #[test]
-    fn duration_histogram_merge() {
-        let mut a = DurationHistogram::paper_idle_buckets();
-        let mut b = DurationHistogram::paper_idle_buckets();
-        a.record(SimDuration::from_secs(1));
-        b.record(SimDuration::from_secs(2));
-        a.merge(&b);
-        assert_eq!(a.total(), SimDuration::from_secs(3));
     }
 }

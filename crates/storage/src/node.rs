@@ -6,7 +6,7 @@ use sdds_disk::{
 use sdds_power::{PolicyContext, PolicyKind, PoweredArray};
 use simkit::fault::{DiskFaultProfile, FaultCounters, FaultPlan};
 use simkit::hash::FxHashMap;
-use simkit::stats::{BucketHistogram, DurationHistogram};
+use simkit::stats::BucketHistogram;
 use simkit::telemetry::{MetricsRegistry, TraceEvent, TraceSink};
 use simkit::{EventQueue, SimDuration, SimTime};
 
@@ -478,15 +478,6 @@ impl IoNode {
         let mut h = BucketHistogram::paper_idle_buckets();
         for d in self.array.disks() {
             h.merge(d.idle_tracker().histogram());
-        }
-        h
-    }
-
-    /// Merged time-weighted idle histogram of the member disks.
-    pub fn idle_time_histogram(&self) -> DurationHistogram {
-        let mut h = DurationHistogram::paper_idle_buckets();
-        for d in self.array.disks() {
-            h.merge(d.idle_tracker().time_histogram());
         }
         h
     }

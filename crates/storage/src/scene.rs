@@ -233,12 +233,6 @@ impl BurstBufferGroup {
     pub fn finish(&mut self, end: SimTime) {
         self.power.finish(end);
     }
-
-    /// Bytes currently parked in the burst buffer.
-    #[must_use]
-    pub fn bb_used(&self) -> u64 {
-        self.bb_used
-    }
 }
 
 impl ShardComponent<SceneMsg> for BurstBufferGroup {

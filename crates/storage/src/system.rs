@@ -3,7 +3,7 @@
 use sdds_disk::EnergyAccount;
 use sdds_power::PolicyKind;
 use simkit::hash::FxHashMap;
-use simkit::stats::{BucketHistogram, DurationHistogram};
+use simkit::stats::BucketHistogram;
 use simkit::SimTime;
 
 use crate::error::StorageError;
@@ -323,16 +323,6 @@ impl StorageSystem {
         let mut h = BucketHistogram::paper_idle_buckets();
         for n in &self.nodes {
             h.merge(&n.idle_histogram());
-        }
-        h
-    }
-
-    /// Merged time-weighted idle histogram: where the array's idle time
-    /// (the energy opportunity) lives.
-    pub fn idle_time_histogram(&self) -> DurationHistogram {
-        let mut h = DurationHistogram::paper_idle_buckets();
-        for n in &self.nodes {
-            h.merge(&n.idle_time_histogram());
         }
         h
     }

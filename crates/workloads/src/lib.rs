@@ -49,4 +49,4 @@ pub use apps::{App, WorkloadScale};
 pub use matmul::matrix_multiply;
 pub use objstore::{ObjRequest, ObjectStoreSpec};
 pub use scene::{scaled_scene, SceneClientSpec, SceneSpec, ScheduleSpec};
-pub use synthetic::{KeyedWorkloadSpec, SyntheticSpec};
+pub use synthetic::KeyedWorkloadSpec;

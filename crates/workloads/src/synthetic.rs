@@ -1,11 +1,10 @@
-//! A configurable synthetic workload builder.
+//! A keyed, data-dependent workload stream.
 //!
 //! The six named applications fix their shapes to match the paper's
-//! descriptions; this builder exposes the same skeleton — I/O phases of a
-//! given cadence, medium compute gaps, long idle gaps, optional
-//! producer–consumer structure — as an open parameter space, for
-//! controlled studies (policy tuning, oscillation hunting, scheduler
-//! stress) beyond the paper's evaluation.
+//! descriptions, and their accesses follow loop bounds the compiler can
+//! see. The stream here draws its keys from a seeded RNG instead, for
+//! comparing the compile-time, online and hybrid decision layers
+//! (`repro online`) on a workload the compiler cannot see into.
 
 use sdds_compiler::ir::{IoDirection, Program};
 use sdds_storage::FileId;
@@ -14,239 +13,12 @@ use simkit::{DetRng, SimDuration, StreamId};
 /// One stripe (Table II).
 const STRIPE: i64 = 64 * 1024;
 
-/// Specification of a synthetic phased workload.
-///
-/// # Example
-///
-/// ```
-/// use sdds_workloads::SyntheticSpec;
-/// use sdds_compiler::SlotGranularity;
-///
-/// let program = SyntheticSpec::default().procs(4).phases(3).build();
-/// let trace = program.trace(SlotGranularity::unit()).unwrap();
-/// assert!(trace.io_count() > 0);
-/// ```
-#[derive(Debug, Clone, PartialEq)]
-pub struct SyntheticSpec {
-    procs: usize,
-    phases: u32,
-    reads_per_phase: u32,
-    writes_per_phase: u32,
-    block_stripes: u32,
-    cadence: SimDuration,
-    /// I/O-free slots interleaved after each access (scheduling headroom).
-    interleave: u32,
-    medium_gap: SimDuration,
-    long_gap: SimDuration,
-    long_gap_every: u32,
-    /// When true, each phase's reads consume the blocks written
-    /// `producer_lag` phases earlier (producer–consumer slacks); when
-    /// false, reads stream fresh input data (prefix slacks).
-    produced_reads: bool,
-    producer_lag: u32,
-}
-
-impl Default for SyntheticSpec {
-    /// A small balanced workload: 8 processes, 4 phases of 16 reads + 8
-    /// writes at a 200 ms cadence, 2 s medium gaps, a 60 s long gap every
-    /// 2 phases, streaming reads.
-    fn default() -> Self {
-        SyntheticSpec {
-            procs: 8,
-            phases: 4,
-            reads_per_phase: 16,
-            writes_per_phase: 8,
-            block_stripes: 2,
-            cadence: SimDuration::from_millis(200),
-            interleave: 2,
-            medium_gap: SimDuration::from_secs(2),
-            long_gap: SimDuration::from_secs(60),
-            long_gap_every: 2,
-            produced_reads: false,
-            producer_lag: 5,
-        }
-    }
-}
-
-impl SyntheticSpec {
-    /// Sets the process count.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n` is zero.
-    pub fn procs(mut self, n: usize) -> Self {
-        assert!(n > 0, "at least one process");
-        self.procs = n;
-        self
-    }
-
-    /// Sets the number of I/O phases.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n` is zero.
-    pub fn phases(mut self, n: u32) -> Self {
-        assert!(n > 0, "at least one phase");
-        self.phases = n;
-        self
-    }
-
-    /// Sets reads and writes per phase per process.
-    pub fn accesses_per_phase(mut self, reads: u32, writes: u32) -> Self {
-        assert!(reads + writes > 0, "a phase needs some I/O");
-        self.reads_per_phase = reads;
-        self.writes_per_phase = writes;
-        self
-    }
-
-    /// Sets the access size in stripes (64 KB each).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `stripes` is zero.
-    pub fn block_stripes(mut self, stripes: u32) -> Self {
-        assert!(stripes > 0, "blocks need at least one stripe");
-        self.block_stripes = stripes;
-        self
-    }
-
-    /// Sets the per-access compute cadence.
-    pub fn cadence(mut self, d: SimDuration) -> Self {
-        self.cadence = d;
-        self
-    }
-
-    /// Sets how many I/O-free slots follow each access (scheduling
-    /// headroom; 0 saturates the per-process timeline).
-    pub fn interleave(mut self, slots: u32) -> Self {
-        self.interleave = slots;
-        self
-    }
-
-    /// Sets the medium compute gap inside each phase.
-    pub fn medium_gap(mut self, d: SimDuration) -> Self {
-        self.medium_gap = d;
-        self
-    }
-
-    /// Sets the long idle gap and its cadence in phases (0 disables long
-    /// gaps).
-    pub fn long_gaps(mut self, d: SimDuration, every_phases: u32) -> Self {
-        self.long_gap = d;
-        self.long_gap_every = every_phases;
-        self
-    }
-
-    /// Reads consume blocks written `lag` phases earlier instead of
-    /// streaming fresh input.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lag` is zero.
-    pub fn produced_reads(mut self, lag: u32) -> Self {
-        assert!(lag > 0, "producer lag must be positive");
-        self.produced_reads = true;
-        self.producer_lag = lag;
-        self
-    }
-
-    /// Builds the program.
-    pub fn build(&self) -> Program {
-        let procs = self.procs as i64;
-        let blk = self.block_stripes as i64 * STRIPE;
-        let phases = self.phases as i64;
-        let lag = self.producer_lag as i64;
-        // One-stripe stagger per process (see the named workloads).
-        let read_span = self.reads_per_phase as i64 * blk + STRIPE;
-        let write_span = self.writes_per_phase.max(1) as i64 * blk + STRIPE;
-        let cadence = self.cadence;
-        let idle = self.interleave;
-
-        let mut p = Program::new("synthetic", self.procs);
-        let produced = self.produced_reads;
-        let (read_file, write_file);
-        if produced {
-            // A single carried file: phase t reads plane t, writes plane
-            // t + lag (planes 0..lag pre-exist as input).
-            let planes = phases + lag;
-            read_file = p.add_file(FileId(0), (planes * procs * read_span) as u64);
-            write_file = read_file;
-        } else {
-            read_file = p.add_file(FileId(0), (phases * procs * read_span) as u64);
-            write_file = p.add_file(FileId(1), (phases * procs * write_span) as u64);
-        }
-
-        let reads = self.reads_per_phase as i64;
-        let writes = self.writes_per_phase as i64;
-        let medium = self.medium_gap;
-        let long_every = self.long_gap_every as i64;
-        let long_gap = self.long_gap;
-
-        for chunk_base in (0..phases).step_by(self.long_gap_every.max(1) as usize) {
-            let len = (phases - chunk_base).min(long_every.max(1));
-            p.push_loop("t", 0, len - 1, move |b| {
-                if reads > 0 {
-                    b.loop_("i", 0, reads - 1, move |b| {
-                        b.io(
-                            IoDirection::Read,
-                            read_file,
-                            |e| {
-                                e.term("t", procs * read_span)
-                                    .term("p", read_span)
-                                    .term("i", blk)
-                                    .plus(chunk_base * procs * read_span)
-                            },
-                            blk as u64,
-                        );
-                        b.compute(cadence);
-                        if idle > 0 {
-                            b.skip(idle, cadence);
-                        }
-                    });
-                }
-                if !medium.is_zero() {
-                    b.skip(1, medium);
-                }
-                if writes > 0 {
-                    b.loop_("j", 0, writes - 1, move |b| {
-                        let (wfile, wspan, wbase) = if produced {
-                            (read_file, read_span, (chunk_base + lag) * procs * read_span)
-                        } else {
-                            (write_file, write_span, chunk_base * procs * write_span)
-                        };
-                        b.io(
-                            IoDirection::Write,
-                            wfile,
-                            |e| {
-                                e.term("t", procs * wspan)
-                                    .term("p", wspan)
-                                    .term("j", blk)
-                                    .plus(wbase)
-                            },
-                            blk as u64,
-                        );
-                        b.compute(cadence);
-                        if idle > 0 {
-                            b.skip(idle, cadence);
-                        }
-                    });
-                }
-            });
-            if !long_gap.is_zero() && chunk_base + len < phases {
-                p.push_skip(1, long_gap);
-            }
-        }
-        p
-    }
-}
-
 /// A DBMS-style keyed workload: each process owns a shard of a keyed
 /// store and issues point reads/updates whose keys follow a zipfian hot
 /// set, with the inter-operation gap swinging on a diurnal cycle.
 ///
-/// Unlike the phased [`SyntheticSpec`], the access pattern here is
-/// *data-dependent* — the key sequence comes from a seeded RNG, not a
-/// loop bound — which is exactly the workload class the paper's
+/// The access pattern is *data-dependent* — the key sequence comes from
+/// a seeded RNG, not a loop bound — which is exactly the workload class the paper's
 /// compile-time scheme cannot see. It exists to compare the compile-time,
 /// online and hybrid decision layers on equal footing: the generated
 /// program is still a loop nest (one single-iteration loop per
@@ -413,89 +185,6 @@ mod tests {
     use super::*;
     use sdds_compiler::{analyze_slacks, SlotGranularity};
     use sdds_storage::StripingLayout;
-
-    #[test]
-    fn default_spec_builds_and_traces() {
-        let p = SyntheticSpec::default().build();
-        let trace = p.trace(SlotGranularity::unit()).unwrap();
-        // 4 phases x (16 reads + 8 writes) x 8 procs.
-        assert_eq!(trace.io_count(), 4 * 24 * 8);
-        assert!(trace.total_slots > 0);
-    }
-
-    #[test]
-    fn produced_reads_have_producers() {
-        let p = SyntheticSpec::default()
-            .procs(2)
-            .phases(8)
-            .accesses_per_phase(4, 4)
-            .produced_reads(3)
-            .build();
-        let trace = p.trace(SlotGranularity::unit()).unwrap();
-        let accesses = analyze_slacks(&trace, &StripingLayout::paper_defaults()).unwrap();
-        let produced = accesses
-            .iter()
-            .filter(|a| a.is_read() && a.producer.is_some())
-            .count();
-        // Phases 3..7 read planes written by phases 0..4.
-        assert!(produced > 0, "lagged writes should produce later reads");
-    }
-
-    #[test]
-    fn streaming_reads_have_prefix_slacks() {
-        let p = SyntheticSpec::default().procs(2).build();
-        let trace = p.trace(SlotGranularity::unit()).unwrap();
-        let accesses = analyze_slacks(&trace, &StripingLayout::paper_defaults()).unwrap();
-        assert!(accesses
-            .iter()
-            .filter(|a| a.is_read())
-            .all(|a| a.producer.is_none() && a.begin == 0));
-    }
-
-    #[test]
-    fn long_gaps_appear_in_compute() {
-        let p = SyntheticSpec::default()
-            .procs(1)
-            .phases(4)
-            .long_gaps(SimDuration::from_secs(30), 2)
-            .build();
-        let trace = p.trace(SlotGranularity::unit()).unwrap();
-        let max_slot_compute = trace.processes[0].compute.iter().copied().max().unwrap();
-        assert_eq!(max_slot_compute, SimDuration::from_secs(30));
-    }
-
-    #[test]
-    fn zero_interleave_saturates_timeline() {
-        let p = SyntheticSpec::default()
-            .procs(1)
-            .phases(1)
-            .accesses_per_phase(8, 0)
-            .interleave(0)
-            .medium_gap(SimDuration::ZERO)
-            .long_gaps(SimDuration::ZERO, 0)
-            .build();
-        let trace = p.trace(SlotGranularity::unit()).unwrap();
-        assert_eq!(trace.total_slots as usize, 8);
-        assert_eq!(trace.io_count(), 8);
-    }
-
-    #[test]
-    fn end_to_end_with_scheme() {
-        use sdds_compiler::SchedulerConfig;
-        let p = SyntheticSpec::default().procs(4).build();
-        let trace = p.trace(SlotGranularity::unit()).unwrap();
-        let accesses = analyze_slacks(&trace, &StripingLayout::paper_defaults()).unwrap();
-        let table = SchedulerConfig::paper_defaults()
-            .schedule(&accesses, &trace)
-            .unwrap();
-        assert_eq!(table.scheduled_count(), accesses.len());
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one process")]
-    fn zero_procs_panics() {
-        let _ = SyntheticSpec::default().procs(0);
-    }
 
     #[test]
     fn keyed_program_is_deterministic() {
