@@ -447,7 +447,7 @@ impl<M, C: ShardComponent<M>> Shard<M, C> {
     }
 
     /// Earliest pending work on this shard (tick or queued delivery).
-    fn next_time(&self) -> Option<SimTime> {
+    fn next_time(&mut self) -> Option<SimTime> {
         earliest(
             self.inbox.peek().map(|Reverse(e)| e.at),
             self.cal.peek_time(),
@@ -787,7 +787,7 @@ impl<M: Send, C: ShardComponent<M>> ShardedKernel<M, C> {
         let workers = jobs.min(self.shards.len()).max(1);
         let window = self.window.as_micros();
         let index = &self.index;
-        let mut next = self.shards.iter().filter_map(Shard::next_time).min();
+        let mut next = self.shards.iter_mut().filter_map(Shard::next_time).min();
         let mut lanes: Vec<Vec<&mut Shard<M, C>>> = Vec::new();
         lanes.resize_with(workers, Vec::new);
         for (i, s) in self.shards.iter_mut().enumerate() {
