@@ -570,8 +570,22 @@ impl Engine {
 
     /// Process `proc` stops waiting at `at` for the in-flight prefetch of
     /// `key` and reads the range synchronously instead. The prefetch
-    /// still completes and fills the buffer for any later consumer.
+    /// still completes and fills the buffer when another waiter of its
+    /// ticket consumes `key`; otherwise nothing would consume the entry,
+    /// so it is dropped and its bytes freed now, and the completion
+    /// fills nothing (not a later reservation of the same range either).
     fn give_up_prefetch(&mut self, proc: usize, key: RangeKey, at: SimTime) {
+        let in_flight = match self.buffer.state(&key) {
+            Some(EntryState::InFlight { ticket, .. }) => self.tickets.get_mut(&ticket),
+            _ => None,
+        };
+        if let Some(state) = in_flight {
+            let consumed = state.waiters.iter().any(|&(_, c)| c == Some(key));
+            if !consumed {
+                state.fill = None;
+                self.buffer.release(&key);
+            }
+        }
         self.prefetch_stats.timed_out += 1;
         if let Some(sink) = self.trace.as_mut() {
             sink.record(TraceEvent::PrefetchInvalidate {
@@ -1313,8 +1327,9 @@ mod tests {
     /// One process reads eight stripes with 10 µs of compute between
     /// them. The tiny compute keeps original points hot on the
     /// prefetchers' heels, so the application routinely catches its
-    /// prefetch still in flight. Telemetry is on.
-    fn run_impatient(timeout: SimDuration) -> RunResult {
+    /// prefetch still in flight. Telemetry is on; `buffer_capacity`
+    /// replaces the default capacity.
+    fn run_impatient(timeout: SimDuration, buffer_capacity: Option<u64>) -> RunResult {
         let mut p = Program::new("impatient", 1);
         let f = p.add_file(FileId(0), STRIPE * 16);
         p.push_skip(16, SimDuration::from_micros(10));
@@ -1330,6 +1345,9 @@ mod tests {
             .unwrap();
         let mut cfg = EngineConfig::paper_defaults();
         cfg.prefetch_timeout = Some(timeout);
+        if let Some(capacity) = buffer_capacity {
+            cfg.buffer_capacity = capacity;
+        }
         // Prefetch even one slot ahead: the issue lands microseconds
         // before the original point, guaranteeing an in-flight catch.
         cfg.min_prefetch_advance = 1;
@@ -1344,7 +1362,7 @@ mod tests {
     fn prefetch_timeout_falls_back_to_sync() {
         // A (deliberately absurd) zero timeout turns every in-flight wait
         // into a synchronous fallback on arrival.
-        let r = run_impatient(SimDuration::ZERO);
+        let r = run_impatient(SimDuration::ZERO, None);
         assert!(r.prefetch.issued > 0, "prefetches were issued: {r:?}");
         assert!(
             r.prefetch.timed_out > 0,
@@ -1357,13 +1375,34 @@ mod tests {
     }
 
     #[test]
+    fn a_given_up_prefetch_frees_its_buffer_bytes() {
+        // Five stripes of buffer for eight reads. A prefetch the
+        // application gives up on must release its reservation: kept
+        // until its completion fills it, with nothing left to consume
+        // it, it would hold a fifth of the buffer to the end of the run.
+        let r = run_impatient(SimDuration::ZERO, Some(5 * STRIPE));
+        assert_eq!(
+            (
+                r.prefetch.timed_out,
+                r.buffer.hits,
+                r.prefetch.deferred_full
+            ),
+            (2, 6, 12),
+            "{:?} {:?}",
+            r.prefetch,
+            r.buffer
+        );
+        assert!(r.bytes_moved.0 >= 8 * STRIPE);
+    }
+
+    #[test]
     fn prefetch_timeout_deadline_wakes_the_waiter() {
         // A 1 ms timeout has not expired when the application arrives, so
         // it blocks on the prefetch; a prefetch still in flight at its
         // deadline is given up then, exactly 1 ms after its issue.
         use std::collections::HashMap;
         let limit = SimDuration::from_millis(1);
-        let r = run_impatient(limit);
+        let r = run_impatient(limit, None);
         assert!(r.prefetch.timed_out > 0, "{:?}", r.prefetch);
         let events = &r.telemetry.as_ref().expect("telemetry was enabled").events;
         let mut issued = HashMap::new();
