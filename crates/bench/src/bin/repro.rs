@@ -18,12 +18,12 @@
 use std::path::PathBuf;
 use std::str::FromStr;
 
-use sdds::{OnlineMode, SddsError, SystemConfig, SystemConfigBuilder};
+use sdds::{OnlineMode, SddsError, SystemConfig};
 use sdds_bench::timing::ScaleSweep;
 use sdds_bench::{emit, observe, paper, timing, twins, CommandError, Outcome};
 use sdds_power::PolicyKind;
 use sdds_runtime::ShardPolicy;
-use sdds_workloads::{App, WorkloadScale};
+use sdds_workloads::App;
 
 // Subcommand groups, as bits: a flag names the groups that read it.
 const PAPER: u16 = 1;
@@ -122,9 +122,9 @@ const FLAGS: &[Flag] = &[
 struct Options {
     command: &'static str,
     apps: Vec<App>,
-    scale: WorkloadScale,
-    /// The storage and scheduler flags, applied as they are parsed.
-    system: SystemConfigBuilder,
+    /// The workload, storage and scheduler flags, set as they are
+    /// parsed; `config` validates them once.
+    system: SystemConfig,
     policy: Option<PolicyKind>,
     jobs: Option<usize>,
     csv: Option<PathBuf>,
@@ -149,8 +149,7 @@ impl Default for Options {
         Options {
             command: ALL.0,
             apps: App::all().to_vec(),
-            scale: WorkloadScale::paper(),
-            system: SystemConfig::builder(),
+            system: SystemConfig::paper_defaults(),
             policy: None,
             jobs: None,
             csv: None,
@@ -216,6 +215,14 @@ fn list<T>(
     require(flag, items, |l| !l.is_empty(), "needs at least one value")
 }
 
+/// `v` units of `unit` bytes, as a byte count; one that does not fit in
+/// a `u64` is a usage error.
+fn bytes(flag: &str, v: &str, unit: u64) -> Result<u64, String> {
+    let n: u64 = num(flag, v)?;
+    n.checked_mul(unit)
+        .ok_or_else(|| format!("{flag} must be at most {}", u64::MAX / unit))
+}
+
 fn known<T>(what: &str, name: &str, found: Option<T>, names: &str) -> Result<T, String> {
     found.ok_or_else(|| format!("unknown {what} `{name}` (known: {names})"))
 }
@@ -232,15 +239,15 @@ fn set(o: &mut Options, flag: &str, v: &str) -> Result<(), String> {
             };
             o.apps = list(flag, v, app)?;
         }
-        "--procs" => o.scale.procs = num(flag, v)?,
-        "--factor" => o.scale.factor = num(flag, v)?,
-        "--gap-factor" => o.scale.gap_factor = num(flag, v)?,
-        "--io-nodes" => o.system = o.system.clone().io_nodes(num(flag, v)?),
-        "--stripe-kb" => o.system = o.system.clone().stripe_kb(num(flag, v)?),
-        "--cache-mb" => o.system = o.system.clone().cache_mb(num(flag, v)?),
-        "--buffer-mb" => o.system = o.system.clone().buffer_mb(num(flag, v)?),
-        "--delta" => o.system = o.system.clone().delta(num(flag, v)?),
-        "--theta" => o.system = o.system.clone().theta(Some(num(flag, v)?)),
+        "--procs" => o.system.scale.procs = num(flag, v)?,
+        "--factor" => o.system.scale.factor = num(flag, v)?,
+        "--gap-factor" => o.system.scale.gap_factor = num(flag, v)?,
+        "--io-nodes" => o.system.io_nodes = num(flag, v)?,
+        "--stripe-kb" => o.system.stripe_bytes = bytes(flag, v, 1 << 10)?,
+        "--cache-mb" => o.system.cache.capacity_bytes = bytes(flag, v, 1 << 20)?,
+        "--buffer-mb" => o.system.engine.buffer_capacity = bytes(flag, v, 1 << 20)?,
+        "--delta" => o.system.scheduler.delta = num(flag, v)?,
+        "--theta" => o.system.scheduler.theta = Some(num(flag, v)?),
         "--policy" => {
             // The default (no power management) and the paper's four
             // strategies, by name or by name without `-based`.
@@ -399,11 +406,12 @@ fn help() -> String {
 /// The validated system configuration; `default_policy` applies when
 /// `--policy` is absent.
 fn config(o: &Options, default_policy: Option<PolicyKind>) -> Result<SystemConfig, CommandError> {
-    let mut b = o.system.clone().scale(o.scale);
+    let mut cfg = o.system.clone();
     if let Some(p) = o.policy.clone().or(default_policy) {
-        b = b.policy(p);
+        cfg.policy = p;
     }
-    Ok(b.build().map_err(SddsError::from)?)
+    cfg.validate().map_err(SddsError::from)?;
+    Ok(cfg)
 }
 
 /// Trace, faults and fuzz default to the history-based strategy, so their

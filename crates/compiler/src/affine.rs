@@ -5,7 +5,6 @@
 //! references the paper analyzes with the Omega library.
 
 use std::collections::BTreeMap;
-use std::fmt;
 
 /// An affine expression `c0 + Σ ci · vi` over named integer variables.
 ///
@@ -68,16 +67,6 @@ impl AffineExpr {
         self.constant += c;
     }
 
-    /// The constant part.
-    pub fn constant_part(&self) -> i64 {
-        self.constant
-    }
-
-    /// Iterates `(variable, coefficient)` pairs in name order.
-    pub fn terms(&self) -> impl Iterator<Item = (&str, i64)> {
-        self.terms.iter().map(|(k, &v)| (k.as_str(), v))
-    }
-
     /// The set of variables appearing with non-zero coefficient.
     pub fn variables(&self) -> impl Iterator<Item = &str> {
         self.terms.keys().map(String::as_str)
@@ -104,41 +93,6 @@ impl AffineExpr {
 impl From<i64> for AffineExpr {
     fn from(c: i64) -> Self {
         AffineExpr::constant(c)
-    }
-}
-
-impl fmt::Display for AffineExpr {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let mut wrote = false;
-        if self.constant != 0 || self.terms.is_empty() {
-            write!(f, "{}", self.constant)?;
-            wrote = true;
-        }
-        for (name, coeff) in &self.terms {
-            if wrote {
-                if *coeff >= 0 {
-                    write!(f, " + ")?;
-                } else {
-                    write!(f, " - ")?;
-                }
-                let mag = coeff.unsigned_abs();
-                if mag == 1 {
-                    write!(f, "{name}")?;
-                } else {
-                    write!(f, "{mag}*{name}")?;
-                }
-            } else {
-                if *coeff == 1 {
-                    write!(f, "{name}")?;
-                } else if *coeff == -1 {
-                    write!(f, "-{name}")?;
-                } else {
-                    write!(f, "{coeff}*{name}")?;
-                }
-            }
-            wrote = true;
-        }
-        Ok(())
     }
 }
 
@@ -181,18 +135,6 @@ mod tests {
         let e = AffineExpr::var("b").with_term("a", 2);
         let vars: Vec<&str> = e.variables().collect();
         assert_eq!(vars, vec!["a", "b"]); // sorted
-    }
-
-    #[test]
-    fn display_forms() {
-        assert_eq!(AffineExpr::zero().to_string(), "0");
-        assert_eq!(AffineExpr::constant(5).to_string(), "5");
-        assert_eq!(AffineExpr::var("i").to_string(), "i");
-        assert_eq!(
-            AffineExpr::constant(2).with_term("i", -3).to_string(),
-            "2 - 3*i"
-        );
-        assert_eq!(AffineExpr::var("i").with_term("j", 1).to_string(), "i + j");
     }
 
     #[test]

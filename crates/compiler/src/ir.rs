@@ -191,11 +191,6 @@ impl Program {
         id
     }
 
-    /// Appends top-level modeled compute work.
-    pub fn push_compute(&mut self, cost: SimDuration) {
-        self.body.push(Stmt::Compute(cost));
-    }
-
     /// Appends a top-level I/O-free phase occupying `slots` scheduling
     /// slots, each taking `per_slot` of compute time.
     pub fn push_skip(&mut self, slots: u32, per_slot: SimDuration) {
@@ -261,61 +256,6 @@ impl Program {
         }
         Ok(())
     }
-}
-
-impl fmt::Display for Program {
-    /// Renders the program as Fig. 5-style pseudocode.
-    ///
-    /// ```text
-    /// program mm (4 processes)
-    ///   file0: 1073741824 bytes
-    ///   for m = 0, 3 {
-    ///     read file0[1048576*m] (1048576 bytes)
-    ///     ...
-    ///   }
-    /// ```
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(f, "program {} ({} processes)", self.name, self.nprocs)?;
-        for file in &self.files {
-            writeln!(f, "  {}: {} bytes", file.id, file.size)?;
-        }
-        render_stmts(f, &self.body, 1)
-    }
-}
-
-/// Writes `stmts` at the given indent depth.
-fn render_stmts(f: &mut fmt::Formatter<'_>, stmts: &[Stmt], depth: usize) -> fmt::Result {
-    let pad = "  ".repeat(depth);
-    for stmt in stmts {
-        match stmt {
-            Stmt::Loop {
-                var,
-                lower,
-                upper,
-                body,
-            } => {
-                writeln!(f, "{pad}for {var} = {lower}, {upper} {{")?;
-                render_stmts(f, body, depth + 1)?;
-                writeln!(f, "{pad}}}")?;
-            }
-            Stmt::Io(call) => {
-                let verb = match call.direction {
-                    IoDirection::Read => "read",
-                    IoDirection::Write => "write",
-                };
-                writeln!(
-                    f,
-                    "{pad}{verb} {}[{}] ({} bytes)",
-                    call.file, call.offset, call.len
-                )?;
-            }
-            Stmt::Compute(cost) => writeln!(f, "{pad}compute {cost}")?,
-            Stmt::Skip { slots, per_slot } => {
-                writeln!(f, "{pad}compute-phase {slots} slots x {per_slot}")?
-            }
-        }
-    }
-    Ok(())
 }
 
 /// Builds nested statement lists (loops, I/O calls, compute).
@@ -579,20 +519,6 @@ mod tests {
             p.add_file(FileId(0), 2048);
         }));
         assert!(r.is_err());
-    }
-
-    #[test]
-    fn program_pretty_prints_like_fig5() {
-        let p = matmul_like();
-        let text = p.to_string();
-        assert!(text.contains("program mm (4 processes)"));
-        assert!(text.contains("for m = 0, 3 {"));
-        assert!(text.contains("for n = 0, 3 {"));
-        assert!(text.contains("read file0["));
-        assert!(text.contains("write file2["));
-        assert!(text.contains("compute 10.000ms"));
-        // Nesting is reflected by indentation.
-        assert!(text.contains("\n    for n"));
     }
 
     #[test]

@@ -54,7 +54,6 @@
 pub mod affine;
 mod error;
 pub mod ir;
-pub mod mpiio;
 pub mod reuse;
 pub mod schedule;
 pub mod signature;

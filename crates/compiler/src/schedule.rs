@@ -786,7 +786,7 @@ mod tests {
     #[test]
     fn empty_access_list() {
         let mut p = Program::new("noio", 1);
-        p.push_compute(simkit::SimDuration::from_millis(1));
+        p.push_skip(1, simkit::SimDuration::from_millis(1));
         let trace = p.trace(SlotGranularity::unit()).unwrap();
         let table = SchedulerConfig::paper_defaults()
             .schedule(&[], &trace)

@@ -490,6 +490,19 @@ mod tests {
     }
 
     #[test]
+    fn compute_phase_creates_gap_slots() {
+        let mut p = Program::new("gapped", 1);
+        let f = p.add_file(FileId(0), 4 * MB);
+        p.push_loop("i", 0, 3, move |b| {
+            b.io(IoDirection::Read, f, |e| e.term("i", MB as i64), MB);
+        });
+        p.push_skip(3, SimDuration::from_secs(1));
+        let t = p.unwrap_trace();
+        assert_eq!(t.total_slots, 4 + 3);
+        assert_eq!(t.processes[0].compute[4..], [SimDuration::from_secs(1); 3]);
+    }
+
+    #[test]
     fn out_of_bounds_detected() {
         let mut p = Program::new("oob", 1);
         let f = p.add_file(FileId(0), MB);

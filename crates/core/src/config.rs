@@ -216,13 +216,6 @@ impl SystemConfig {
         Ok(())
     }
 
-    /// A validating builder seeded with [`SystemConfig::paper_defaults`].
-    pub fn builder() -> SystemConfigBuilder {
-        SystemConfigBuilder {
-            cfg: SystemConfig::paper_defaults(),
-        }
-    }
-
     /// The storage-side configuration this system describes.
     ///
     /// # Errors
@@ -253,126 +246,6 @@ impl SystemConfig {
                 }),
             },
         })
-    }
-}
-
-/// Builds a [`SystemConfig`] knob by knob, validating everything at
-/// [`build`](SystemConfigBuilder::build) time.
-///
-/// ```
-/// use sdds::SystemConfig;
-///
-/// let cfg = SystemConfig::builder()
-///     .io_nodes(4)
-///     .stripe_kb(128)
-///     .build()
-///     .expect("valid configuration");
-/// assert_eq!(cfg.io_nodes, 4);
-///
-/// // Invalid combinations are rejected with a typed error:
-/// assert!(SystemConfig::builder().io_nodes(0).build().is_err());
-/// ```
-#[derive(Debug, Clone)]
-pub struct SystemConfigBuilder {
-    cfg: SystemConfig,
-}
-
-impl SystemConfigBuilder {
-    /// Sets the number of I/O nodes.
-    pub fn io_nodes(mut self, io_nodes: usize) -> Self {
-        self.cfg.io_nodes = io_nodes;
-        self
-    }
-
-    /// Sets the stripe size in kilobytes.
-    pub fn stripe_kb(mut self, kb: u64) -> Self {
-        self.cfg.stripe_bytes = kb * 1024;
-        self
-    }
-
-    /// Sets the intra-node RAID organization.
-    pub fn raid(mut self, level: RaidLevel, disks_per_node: usize) -> Self {
-        self.cfg.raid_level = level;
-        self.cfg.disks_per_node = disks_per_node;
-        self
-    }
-
-    /// Sets the per-node storage-cache capacity in megabytes.
-    pub fn cache_mb(mut self, megabytes: u64) -> Self {
-        self.cfg.cache.capacity_bytes = megabytes * 1024 * 1024;
-        self
-    }
-
-    /// Sets the client-side prefetch-buffer capacity in megabytes.
-    pub fn buffer_mb(mut self, megabytes: u64) -> Self {
-        self.cfg.engine.buffer_capacity = megabytes * 1024 * 1024;
-        self
-    }
-
-    /// Sets the hardware power-saving strategy.
-    pub fn policy(mut self, policy: PolicyKind) -> Self {
-        self.cfg.policy = policy;
-        self
-    }
-
-    /// Sets the scheduling window δ.
-    pub fn delta(mut self, delta: u32) -> Self {
-        self.cfg.scheduler.delta = delta;
-        self
-    }
-
-    /// Sets the per-slot bound θ; `None` removes the constraint.
-    pub fn theta(mut self, theta: Option<u16>) -> Self {
-        self.cfg.scheduler.theta = theta;
-        self
-    }
-
-    /// Sets the scheduling-slot granularity.
-    pub fn granularity(mut self, granularity: SlotGranularity) -> Self {
-        self.cfg.granularity = granularity;
-        self
-    }
-
-    /// Switches the software-directed scheduling scheme on or off.
-    pub fn scheme(mut self, enabled: bool) -> Self {
-        self.cfg.scheme_enabled = enabled;
-        self
-    }
-
-    /// Sets the workload scale.
-    pub fn scale(mut self, scale: WorkloadScale) -> Self {
-        self.cfg.scale = scale;
-        self
-    }
-
-    /// Switches telemetry collection (trace events + metrics) on or off.
-    pub fn telemetry(mut self, enabled: bool) -> Self {
-        self.cfg.telemetry = enabled;
-        self
-    }
-
-    /// Sets the same-time arbitration policy for the engine's event
-    /// calendar (see [`SystemConfig::with_arbitration`]).
-    pub fn arbitration(mut self, arbitration: ArbitrationPolicy) -> Self {
-        self.cfg = self.cfg.with_arbitration(arbitration);
-        self
-    }
-
-    /// Arms a fault-injection scenario (see [`SystemConfig::with_fault`]).
-    pub fn fault(mut self, spec: FaultSpec) -> Self {
-        self.cfg = self.cfg.with_fault(Some(spec));
-        self
-    }
-
-    /// Validates the accumulated configuration and returns it.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first violated constraint as a [`ConfigError`]; see
-    /// [`SystemConfig::validate`].
-    pub fn build(self) -> Result<SystemConfig, ConfigError> {
-        self.cfg.validate()?;
-        Ok(self.cfg)
     }
 }
 

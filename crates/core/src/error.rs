@@ -18,10 +18,10 @@ pub use sdds_storage::StorageError;
 
 /// A rejected [`SystemConfig`](crate::SystemConfig).
 ///
-/// Produced by [`SystemConfig::validate`](crate::SystemConfig::validate)
-/// and the [`SystemConfigBuilder`](crate::SystemConfigBuilder); wraps the
-/// per-layer validation errors and adds the cross-layer constraints only
-/// the full configuration can check.
+/// Produced by [`SystemConfig::validate`](crate::SystemConfig::validate),
+/// which every entry point runs first; wraps the per-layer validation
+/// errors and adds the cross-layer constraints only the full
+/// configuration can check.
 #[derive(Debug)]
 #[non_exhaustive]
 pub enum ConfigError {

@@ -24,7 +24,9 @@
 //! ```
 //! use sdds::SystemConfig;
 //!
-//! let err = SystemConfig::builder().io_nodes(0).build().unwrap_err();
+//! let mut cfg = SystemConfig::paper_defaults();
+//! cfg.io_nodes = 0;
+//! let err = cfg.validate().unwrap_err();
 //! assert!(err.to_string().contains("I/O node count"));
 //! ```
 //!
@@ -47,9 +49,7 @@ pub mod metrics;
 pub mod online;
 pub mod scale;
 
-pub use config::{
-    run, run_program, run_trace, run_with, Outcome, SystemConfig, SystemConfigBuilder,
-};
+pub use config::{run, run_program, run_trace, run_with, Outcome, SystemConfig};
 pub use error::{CellFailure, ConfigError, ExperimentError, SddsError};
 pub use online::{run_mode, table_policy_for, OnlineMode};
 pub use scale::{run_scale, run_scale_observed, ScaleSceneConfig};

@@ -1,6 +1,6 @@
-//! Property: a `SystemConfig` assembled from arbitrary knob values either
-//! builds cleanly or is rejected with a typed [`sdds::ConfigError`] —
-//! construction and validation never panic, whatever the inputs.
+//! Property: a `SystemConfig` whose fields are set to arbitrary knob
+//! values either validates or is rejected with a typed
+//! [`sdds::ConfigError`]; validation never panics, whatever the inputs.
 
 use proptest::prelude::*;
 use sdds::{SddsError, SystemConfig};
@@ -10,11 +10,11 @@ use sdds_workloads::WorkloadScale;
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Every knob the builder exposes, drawn from ranges that straddle
-    /// the valid/invalid boundary (zero node counts, zero stripes, empty
-    /// buffers, non-finite scale factors, zero-quantum granularities).
+    /// Knobs drawn from ranges that straddle the valid/invalid boundary
+    /// (zero node counts, zero stripes, empty buffers, non-finite scale
+    /// factors, zero-quantum granularities).
     #[test]
-    fn builder_validates_or_rejects_without_panicking(
+    fn fields_validate_or_reject_without_panicking(
         io_nodes in 0usize..33,
         stripe_kb in 0u64..129,
         cache_mb in 0u64..65,
@@ -32,28 +32,26 @@ proptest! {
         theta in 0u16..9,
         iterations_per_slot in 0u32..4,
     ) {
-        let built = SystemConfig::builder()
-            .io_nodes(io_nodes)
-            .stripe_kb(stripe_kb)
-            .cache_mb(cache_mb)
-            .buffer_mb(buffer_mb)
-            .delta(delta)
-            .theta(if theta == 0 { None } else { Some(theta) })
-            .granularity(SlotGranularity {
-                iterations_per_slot,
-                access_bytes_per_slot: None,
-            })
-            .scale(WorkloadScale {
-                procs,
-                factor,
-                gap_factor,
-            })
-            .build();
-        match built {
-            Ok(cfg) => {
-                // A successfully built config re-validates, and its
-                // inputs really were inside every constraint.
-                prop_assert!(cfg.validate().is_ok());
+        let mut cfg = SystemConfig::paper_defaults();
+        cfg.io_nodes = io_nodes;
+        cfg.stripe_bytes = stripe_kb * 1024;
+        cfg.cache.capacity_bytes = cache_mb * 1024 * 1024;
+        cfg.engine.buffer_capacity = buffer_mb * 1024 * 1024;
+        cfg.scheduler.delta = delta;
+        cfg.scheduler.theta = if theta == 0 { None } else { Some(theta) };
+        cfg.granularity = SlotGranularity {
+            iterations_per_slot,
+            access_bytes_per_slot: None,
+        };
+        cfg.scale = WorkloadScale {
+            procs,
+            factor,
+            gap_factor,
+        };
+        match cfg.validate() {
+            Ok(()) => {
+                // The inputs of a valid config really were inside every
+                // constraint.
                 prop_assert!(io_nodes > 0 && stripe_kb > 0 && procs > 0);
                 prop_assert!(factor.is_finite() && factor > 0.0);
                 prop_assert!(iterations_per_slot > 0);

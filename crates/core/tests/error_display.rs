@@ -5,15 +5,16 @@
 //! what scripted callers match on; a wording change here is a breaking
 //! change and must be deliberate.
 
-use sdds::{SddsError, SystemConfig, SystemConfigBuilder};
+use sdds::{SddsError, SystemConfig};
 use sdds_compiler::SlotGranularity;
 use sdds_workloads::WorkloadScale;
 
-/// Builds, asserts rejection, and returns (message, exit code).
-fn reject(build: impl FnOnce(SystemConfigBuilder) -> SystemConfigBuilder) -> (String, i32) {
-    let err = build(SystemConfig::builder())
-        .build()
-        .expect_err("config should be rejected");
+/// Applies `set` to the paper defaults, asserts rejection, and returns
+/// (message, exit code).
+fn reject(set: impl FnOnce(&mut SystemConfig)) -> (String, i32) {
+    let mut cfg = SystemConfig::paper_defaults();
+    set(&mut cfg);
+    let err = cfg.validate().expect_err("config should be rejected");
     let msg = err.to_string();
     let code = SddsError::from(err).exit_code();
     (msg, code)
@@ -21,7 +22,7 @@ fn reject(build: impl FnOnce(SystemConfigBuilder) -> SystemConfigBuilder) -> (St
 
 #[test]
 fn zero_io_nodes() {
-    let (msg, code) = reject(|b| b.io_nodes(0));
+    let (msg, code) = reject(|c| c.io_nodes = 0);
     assert_eq!(
         msg,
         "invalid storage configuration: I/O node count must be in 1..=64, got 0"
@@ -31,7 +32,7 @@ fn zero_io_nodes() {
 
 #[test]
 fn zero_stripe() {
-    let (msg, code) = reject(|b| b.stripe_kb(0));
+    let (msg, code) = reject(|c| c.stripe_bytes = 0);
     assert_eq!(
         msg,
         "invalid storage configuration: stripe size must be positive"
@@ -41,7 +42,7 @@ fn zero_stripe() {
 
 #[test]
 fn zero_cache() {
-    let (msg, code) = reject(|b| b.cache_mb(0));
+    let (msg, code) = reject(|c| c.cache.capacity_bytes = 0);
     assert_eq!(
         msg,
         "invalid storage configuration: cache capacity (0 B) must hold at least one 65536 B block"
@@ -51,7 +52,7 @@ fn zero_cache() {
 
 #[test]
 fn buffer_smaller_than_stripe() {
-    let (msg, code) = reject(|b| b.buffer_mb(0));
+    let (msg, code) = reject(|c| c.engine.buffer_capacity = 0);
     assert_eq!(
         msg,
         "engine buffer (0 B) must hold at least one stripe (65536 B)"
@@ -61,7 +62,7 @@ fn buffer_smaller_than_stripe() {
 
 #[test]
 fn zero_theta() {
-    let (msg, code) = reject(|b| b.theta(Some(0)));
+    let (msg, code) = reject(|c| c.scheduler.theta = Some(0));
     assert_eq!(
         msg,
         "invalid scheduler configuration: scheduler knob `theta` must be >= 1 when set, got 0"
@@ -71,12 +72,12 @@ fn zero_theta() {
 
 #[test]
 fn zero_procs() {
-    let (msg, code) = reject(|b| {
-        b.scale(WorkloadScale {
+    let (msg, code) = reject(|c| {
+        c.scale = WorkloadScale {
             procs: 0,
             factor: 1.0,
             gap_factor: 1.0,
-        })
+        }
     });
     assert_eq!(msg, "workload scale needs at least one client process");
     assert_eq!(code, 3);
@@ -84,12 +85,12 @@ fn zero_procs() {
 
 #[test]
 fn non_finite_scale_factor() {
-    let (msg, code) = reject(|b| {
-        b.scale(WorkloadScale {
+    let (msg, code) = reject(|c| {
+        c.scale = WorkloadScale {
             procs: 4,
             factor: f64::NAN,
             gap_factor: 1.0,
-        })
+        }
     });
     assert_eq!(
         msg,
@@ -100,11 +101,11 @@ fn non_finite_scale_factor() {
 
 #[test]
 fn zero_granularity() {
-    let (msg, code) = reject(|b| {
-        b.granularity(SlotGranularity {
+    let (msg, code) = reject(|c| {
+        c.granularity = SlotGranularity {
             iterations_per_slot: 0,
             access_bytes_per_slot: None,
-        })
+        }
     });
     assert_eq!(msg, "slot granularity quanta must be positive");
     assert_eq!(code, 3);
@@ -112,7 +113,10 @@ fn zero_granularity() {
 
 #[test]
 fn top_level_wrapping_adds_the_config_prefix() {
-    let err = SystemConfig::builder().io_nodes(0).build().unwrap_err();
+    let err = SystemConfig::paper_defaults()
+        .with_io_nodes(0)
+        .validate()
+        .unwrap_err();
     let top = SddsError::from(err);
     assert_eq!(
         top.to_string(),

@@ -67,11 +67,6 @@ impl IdleTracker {
         self.work_arrived(t);
     }
 
-    /// Returns `true` if an idle period is currently open.
-    pub fn is_idle(&self) -> bool {
-        self.idle_since.is_some()
-    }
-
     /// The bucketed histogram of completed idle periods (period counts —
     /// the population Fig. 12 plots).
     pub fn histogram(&self) -> &BucketHistogram {
@@ -101,7 +96,6 @@ mod tests {
     #[test]
     fn starts_idle_at_zero() {
         let mut tr = IdleTracker::new();
-        assert!(tr.is_idle());
         tr.work_arrived(t(5_000));
         assert_eq!(tr.histogram().total(), 1);
         assert_eq!(tr.total_idle(), SimDuration::from_millis(5));
@@ -144,6 +138,10 @@ mod tests {
         let mut tr = IdleTracker::new();
         tr.work_arrived(t(0));
         assert_eq!(tr.histogram().total(), 0);
-        assert!(!tr.is_idle());
+        // The arrival closed the open period: the next one starts when
+        // work next finishes, not at time zero.
+        tr.work_finished(t(10));
+        tr.work_arrived(t(30));
+        assert_eq!(tr.total_idle(), SimDuration::from_micros(20));
     }
 }

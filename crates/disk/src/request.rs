@@ -122,11 +122,6 @@ impl CompletedRequest {
     pub fn response_time(&self) -> simkit::SimDuration {
         self.completion - self.arrival
     }
-
-    /// Time spent waiting before service started.
-    pub fn queue_delay(&self) -> simkit::SimDuration {
-        self.service_start - self.arrival
-    }
 }
 
 #[cfg(test)]
@@ -155,7 +150,6 @@ mod tests {
             outcome: ServiceOutcome::Ok,
         };
         assert_eq!(c.response_time().as_micros(), 300);
-        assert_eq!(c.queue_delay().as_micros(), 50);
         assert!(c.outcome.is_ok());
         assert!(!ServiceOutcome::TransientError.is_ok());
         assert!(!ServiceOutcome::BadSector.is_ok());

@@ -104,7 +104,7 @@ mod tests {
             p.observe(ms(75));
         }
         let predicted = p.predict().unwrap();
-        assert!((predicted.as_millis_f64() - 75.0).abs() < 0.5);
+        assert!(predicted.as_micros().abs_diff(75_000) < 500);
     }
 
     #[test]

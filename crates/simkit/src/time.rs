@@ -140,12 +140,6 @@ impl SimDuration {
         self.0 as f64 / 1e6
     }
 
-    /// Returns this duration as fractional milliseconds.
-    #[inline]
-    pub fn as_millis_f64(self) -> f64 {
-        self.0 as f64 / 1e3
-    }
-
     /// Returns `true` if this duration is zero.
     #[inline]
     pub const fn is_zero(self) -> bool {

@@ -51,19 +51,6 @@ impl CacheConfig {
         }
         Ok(())
     }
-
-    /// Capacity in whole blocks.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the capacity is smaller than one block; call
-    /// [`CacheConfig::validate`] first to get a typed error instead.
-    pub fn capacity_blocks(&self) -> usize {
-        assert!(self.block_bytes > 0, "block size must be positive");
-        let blocks = self.capacity_bytes / self.block_bytes;
-        assert!(blocks > 0, "cache must hold at least one block");
-        blocks as usize
-    }
 }
 
 /// The outcome of offering an access to the cache.
@@ -377,6 +364,6 @@ mod tests {
     #[test]
     fn paper_defaults_hold_1024_blocks() {
         let cfg = CacheConfig::paper_defaults();
-        assert_eq!(cfg.capacity_blocks(), 1_024);
+        assert_eq!(cfg.capacity_bytes / cfg.block_bytes, 1_024);
     }
 }

@@ -216,11 +216,6 @@ impl Placement {
         self.disks[disk].used
     }
 
-    /// True when `disk` is in the hot-spare reserve.
-    pub fn is_spare(&self, disk: usize) -> bool {
-        disk >= self.params.data_disks && disk < self.disks.len()
-    }
-
     /// Hands out the next unpromoted hot spare (lowest index first), or
     /// `None` when the reserve is exhausted. Promotion order is
     /// deterministic, so rebuild targets are reproducible.
@@ -278,7 +273,7 @@ mod tests {
             let r = p.replicas_of(obj);
             assert_eq!(r.len(), 3);
             for (i, &d) in r.iter().enumerate() {
-                assert!(!p.is_spare(d), "replica landed on a spare");
+                assert!(d < params().data_disks, "replica landed on a spare");
                 assert!(!r[..i].contains(&d), "duplicate replica disk");
             }
         }
