@@ -3,8 +3,9 @@
 //!
 //! Both fold the trace stream of telemetry-enabled runs and check it
 //! against the run's own totals: per-state energy must sum to the
-//! headline joules within 1e-9, and every request's latency must split
-//! exactly (response = queue + service, queue = spin-up + wait).
+//! headline joules within 1e-9, and every completed request's queue and
+//! service must add up to its own `end − arrival`, with its spin-up
+//! share inside its queue wait.
 
 use std::collections::BTreeMap;
 use std::path::Path;
@@ -12,9 +13,9 @@ use std::path::Path;
 use sdds::SystemConfig;
 use sdds_runtime::ShardPolicy;
 use sdds_workloads::App;
-use simkit::span::{decompose, SpanForest};
+use simkit::span::SpanForest;
 use simkit::telemetry::TraceEvent;
-use simkit::SimDuration;
+use simkit::{SimDuration, SimTime};
 
 use crate::json::{Json, Obj};
 use crate::outcome::{Check, CommandError, Outcome};
@@ -154,7 +155,6 @@ struct Latency {
     response: u64,
     queue: u64,
     spin_up: u64,
-    wait: u64,
     service: u64,
     recovery_requests: u64,
     recovery_response: u64,
@@ -168,7 +168,9 @@ struct Latency {
 /// stall from one observed sharded scene.
 ///
 /// Checks: energy reconciliation (1e-9 J per cell), the latency identity
-/// (every request), and the observer event count of the sharded scene.
+/// (every completed request span: queue + service = its own response,
+/// spin-up share within the queue), and the observer event count of the
+/// sharded scene.
 pub fn attrib(
     base: &SystemConfig,
     apps: &[App],
@@ -237,43 +239,38 @@ pub fn attrib(
                     )
                 });
 
-                // Latency critical path: every request's decomposition
-                // must reassemble exactly (integer microseconds).
+                // One fold gives the access-rooted request trees and
+                // each completed request's latency split, which must add
+                // up to its own response (integer microseconds).
+                let forest = SpanForest::build(&t.events);
                 let mut lat = Latency::default();
-                for l in &decompose(&t.events) {
-                    identity.require(
-                        l.response_us == l.queue_us + l.service_us
-                            && l.queue_us == l.spin_up_us + l.wait_us,
-                        || {
-                            format!(
-                                "{label}: request ({}, {}, {}) latency does not decompose \
-                                 exactly: response {} != queue {} + service {} \
-                                 (queue = spin-up {} + wait {})",
-                                l.node,
-                                l.disk,
-                                l.id,
-                                l.response_us,
-                                l.queue_us,
-                                l.service_us,
-                                l.spin_up_us,
-                                l.wait_us
-                            )
-                        },
-                    );
+                for r in forest.requests.iter().filter(|r| r.completed()) {
+                    identity.require(r.latency_adds_up(), || {
+                        let us = |t: Option<SimTime>| t.map_or(0, SimTime::as_micros);
+                        format!(
+                            "{label}: request ({}, {}, {}) arrives at {} us, starts at {} us \
+                             and ends at {} us with {} us of spin-up: its queue and service \
+                             do not add up to its response, or its spin-up exceeds its queue",
+                            r.node,
+                            r.disk,
+                            r.id,
+                            us(r.arrival),
+                            us(r.start),
+                            us(r.end),
+                            r.spin_up_us
+                        )
+                    });
+                    let response = r.response_us().unwrap_or(0);
                     lat.requests += 1;
-                    lat.response += l.response_us;
-                    lat.queue += l.queue_us;
-                    lat.spin_up += l.spin_up_us;
-                    lat.wait += l.wait_us;
-                    lat.service += l.service_us;
-                    if l.recovery {
+                    lat.response += response;
+                    lat.queue += r.queue_us().unwrap_or(0);
+                    lat.spin_up += r.spin_up_us;
+                    lat.service += r.service_us().unwrap_or(0);
+                    if r.recovery || r.attempt > 0 {
                         lat.recovery_requests += 1;
-                        lat.recovery_response += l.response_us;
+                        lat.recovery_response += response;
                     }
                 }
-
-                // Causal span forest: access-rooted request trees.
-                let forest = SpanForest::build(&t.events);
                 let unparented = forest
                     .requests
                     .iter()
@@ -363,7 +360,7 @@ pub fn attrib(
                                 .field("response", lat.response)
                                 .field("queue", lat.queue)
                                 .field("spin_up", lat.spin_up)
-                                .field("wait", lat.wait)
+                                .field("wait", lat.queue.saturating_sub(lat.spin_up))
                                 .field("service", lat.service),
                         )
                         .field(

@@ -7,7 +7,7 @@ use sdds::cache::CompileCache;
 use sdds::{run_with, SystemConfig, TraceEvent};
 use sdds_power::PolicyKind;
 use sdds_workloads::{App, WorkloadScale};
-use simkit::span::{decompose, SpanForest};
+use simkit::span::SpanForest;
 
 fn test_cfg() -> SystemConfig {
     let mut cfg = SystemConfig::paper_defaults()
@@ -122,16 +122,18 @@ fn span_forest_and_latency_decomposition_reconcile_end_to_end() {
     assert!(raw_nj > 0);
     assert_eq!(forest.total_energy_nj(), raw_nj);
 
-    // The latency split holds its invariants exactly, in integer
-    // microseconds, for every completed request of the run.
-    let lat = decompose(&t.events);
-    assert_eq!(
-        lat.len(),
-        forest.requests.iter().filter(|r| r.completed()).count()
-    );
-    for r in &lat {
-        assert_eq!(r.response_us, r.queue_us + r.service_us);
-        assert_eq!(r.queue_us, r.spin_up_us + r.wait_us);
+    // Every completed request's queue and service add up to its own
+    // response, in integer microseconds, with the spin-up share inside
+    // the queue wait; one span per completion event.
+    let completed: Vec<_> = forest.requests.iter().filter(|r| r.completed()).collect();
+    let raw_completions = t
+        .events
+        .iter()
+        .filter(|e| matches!(e, TraceEvent::Request { .. }))
+        .count();
+    assert_eq!(completed.len(), raw_completions);
+    for r in completed {
+        assert!(r.latency_adds_up(), "latency does not add up: {r:?}");
     }
 }
 
@@ -139,7 +141,7 @@ fn span_forest_and_latency_decomposition_reconcile_end_to_end() {
 fn spin_up_recovery_shows_up_in_the_queue_decomposition() {
     // Without the scheme, the simple spin-down policy parks disks between
     // bursts, so later requests must queue behind an on-demand spin-up —
-    // and the decomposition must attribute that wait to `spin_up_us`.
+    // and the span fold must attribute that wait to `spin_up_us`.
     let mut cfg = SystemConfig::paper_defaults()
         .with_policy(PolicyKind::simple_spin_down_default())
         .with_scheme(false)
@@ -151,13 +153,13 @@ fn spin_up_recovery_shows_up_in_the_queue_decomposition() {
     let cache = CompileCache::new();
     let o = run_with(App::Sar, &cfg, &cache).unwrap();
     let t = o.result.telemetry.expect("telemetry on");
-    let lat = decompose(&t.events);
+    let forest = SpanForest::build(&t.events);
     assert!(
-        lat.iter().any(|r| r.spin_up_us > 0),
+        forest.requests.iter().any(|r| r.spin_up_us > 0),
         "no queue wait was attributed to spin-up recovery"
     );
-    for r in &lat {
-        assert_eq!(r.queue_us, r.spin_up_us + r.wait_us);
+    for r in forest.requests.iter().filter(|r| r.completed()) {
+        assert!(r.latency_adds_up(), "latency does not add up: {r:?}");
     }
 }
 

@@ -22,7 +22,8 @@
 //!   out independent simulations (`--jobs` changes wall time, not results),
 //! * [`span`] — causal span trees folded from the trace stream: access
 //!   roots with parent-linked member requests, exact per-span energy and
-//!   an exact latency critical-path decomposition,
+//!   each completed request's latency split, checked against its own
+//!   response time,
 //! * [`shard`] — the sharded time-domain kernel: components partitioned
 //!   across per-shard calendars advancing in epoch windows with barrier
 //!   message exchange in a canonical order, bitwise identical for any

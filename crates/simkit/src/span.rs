@@ -11,12 +11,14 @@
 //! span carries the exact energy the disk metered over its service
 //! window, so energy attribution is a fold, not an estimate.
 //!
-//! [`decompose`] performs the latency critical-path split: for every
-//! completed request, `response = queue + service` holds *exactly* in
-//! integer microseconds, and the queue share is further split into the
-//! portion overlapping the disk's spin-up recovery versus plain waiting.
-//! All folds are pure functions of the event stream, so their output is
-//! byte-for-byte reproducible for a deterministic simulation.
+//! The same fold gives each completed request its latency split in
+//! integer microseconds: queue `start − arrival`, service `end − start`,
+//! response `end − arrival`, and the part of the queue wait the disk
+//! spent spinning up. [`RequestSpan::latency_adds_up`] checks that the
+//! parts reassemble the response, which fails on a span whose times are
+//! out of order. All folds are pure functions of the event stream, so
+//! their output is byte-for-byte reproducible for a deterministic
+//! simulation.
 
 use std::collections::BTreeMap;
 
@@ -49,6 +51,11 @@ pub struct RequestSpan {
     /// Exact whole-disk energy metered over the service window, in
     /// nanojoules.
     pub energy_nj: u64,
+    /// Microseconds of the queue window `[arrival, start)` the disk spent
+    /// in `spin-up`, once completed. Not clamped to the queue wait:
+    /// [`RequestSpan::latency_adds_up`] fails a span whose share exceeds
+    /// it.
+    pub spin_up_us: u64,
     /// Number of injected faults observed on this request id.
     pub faults: u32,
 }
@@ -67,6 +74,7 @@ impl RequestSpan {
             start: None,
             end: None,
             energy_nj: 0,
+            spin_up_us: 0,
             faults: 0,
         }
     }
@@ -75,6 +83,47 @@ impl RequestSpan {
     pub fn completed(&self) -> bool {
         self.end.is_some()
     }
+
+    /// Queue wait `start − arrival` in microseconds; `None` until the
+    /// span completes, or if it starts before it arrives.
+    pub fn queue_us(&self) -> Option<u64> {
+        micros(self.arrival, self.start)
+    }
+
+    /// Service time `end − start` in microseconds; `None` until the span
+    /// completes, or if it ends before it starts.
+    pub fn service_us(&self) -> Option<u64> {
+        micros(self.start, self.end)
+    }
+
+    /// Response time `end − arrival` in microseconds, taken from the
+    /// span's own endpoints; `None` until the span completes, or if it
+    /// ends before it arrives.
+    pub fn response_us(&self) -> Option<u64> {
+        micros(self.arrival, self.end)
+    }
+
+    /// The latency identity: `response == queue + service` and
+    /// `spin_up <= queue`, with all three parts defined.
+    ///
+    /// For a span whose times run `arrival <= start <= end` the sum is
+    /// exact, so the identity fails exactly when the span starts outside
+    /// `[arrival, end]` (a part is undefined) or when its spin-up share
+    /// exceeds its queue wait. It also fails before the span completes.
+    pub fn latency_adds_up(&self) -> bool {
+        match (self.queue_us(), self.service_us(), self.response_us()) {
+            (Some(queue), Some(service), Some(response)) => {
+                response == queue + service && self.spin_up_us <= queue
+            }
+            _ => false,
+        }
+    }
+}
+
+/// `to − from` in microseconds, when both are known and `from <= to`.
+fn micros(from: Option<SimTime>, to: Option<SimTime>) -> Option<u64> {
+    let (from, to) = (from?, to?);
+    (from <= to).then(|| to.saturating_since(from).as_micros())
 }
 
 /// One client access: the root span of a causal tree.
@@ -106,13 +155,30 @@ impl SpanForest {
     ///
     /// The fold is a single pass and is total: events that reference a
     /// request never observed before simply open a new span, so partial
-    /// streams (e.g. a run cut at a horizon) still fold cleanly.
+    /// streams (e.g. a run cut at a horizon) still fold cleanly. The same
+    /// pass collects each disk's `spin-up` residencies from its
+    /// [`TraceEvent::DiskState`] transitions; every completed span then
+    /// gets their overlap with its queue window as
+    /// [`RequestSpan::spin_up_us`].
     pub fn build(events: &[TraceEvent]) -> SpanForest {
         let mut forest = SpanForest::default();
         let mut access_ix: BTreeMap<u64, usize> = BTreeMap::new();
         let mut request_ix: BTreeMap<(u32, u64), usize> = BTreeMap::new();
+        let mut spin_ups: BTreeMap<(u32, u32), Vec<(SimTime, SimTime)>> = BTreeMap::new();
+        let mut spinning_up: BTreeMap<(u32, u32), SimTime> = BTreeMap::new();
         for e in events {
             match *e {
+                TraceEvent::DiskState {
+                    at, node, disk, to, ..
+                } => {
+                    let lane = (node, disk);
+                    if let Some(since) = spinning_up.remove(&lane) {
+                        spin_ups.entry(lane).or_default().push((since, at));
+                    }
+                    if to == "spin-up" {
+                        spinning_up.insert(lane, at);
+                    }
+                }
                 TraceEvent::AccessStart { at, access } => {
                     let ix = forest.accesses.len();
                     access_ix.entry(access).or_insert_with(|| {
@@ -181,6 +247,19 @@ impl SpanForest {
                 _ => {}
             }
         }
+        // A spin-up still open at stream end can only overlap the queue
+        // windows of requests that never completed, so it is dropped.
+        for span in &mut forest.requests {
+            let (Some(arrival), Some(start)) = (span.arrival, span.start) else {
+                continue;
+            };
+            span.spin_up_us = spin_ups.get(&(span.node, span.disk)).map_or(0, |lane| {
+                lane.iter()
+                    .map(|&(from, to)| start.min(to).saturating_since(arrival.max(from)))
+                    .map(|overlap| overlap.as_micros())
+                    .sum()
+            });
+        }
         forest
     }
 
@@ -188,130 +267,6 @@ impl SpanForest {
     pub fn total_energy_nj(&self) -> u64 {
         self.requests.iter().map(|r| r.energy_nj).sum()
     }
-}
-
-/// The exact latency split of one completed request, in integer
-/// microseconds. Invariants (by construction, not approximation):
-/// `response_us == queue_us + service_us` and
-/// `queue_us == spin_up_us + wait_us`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RequestLatency {
-    /// I/O node index.
-    pub node: u32,
-    /// Disk index within the node.
-    pub disk: u32,
-    /// Request id (unique per node).
-    pub id: u64,
-    /// Owning access id, when parent-linked.
-    pub access: Option<u64>,
-    /// True for recovery traffic (retries, reconstruction reads).
-    pub recovery: bool,
-    /// End-to-end disk response time (`end - arrival`).
-    pub response_us: u64,
-    /// Time spent queued before service (`start - arrival`).
-    pub queue_us: u64,
-    /// Portion of the queue wait overlapping the disk's spin-up.
-    pub spin_up_us: u64,
-    /// Remaining queue wait (head-of-line blocking, seek of others).
-    pub wait_us: u64,
-    /// Service time (`end - start`).
-    pub service_us: u64,
-    /// Exact service-window energy in nanojoules.
-    pub energy_nj: u64,
-}
-
-/// Splits every completed request in `events` into its exact latency
-/// components (see [`RequestLatency`] for the invariants).
-///
-/// The spin-up share is computed by intersecting each request's queue
-/// window `[arrival, start)` with the disk's `spin-up` state residencies
-/// reconstructed from the [`TraceEvent::DiskState`] transitions.
-pub fn decompose(events: &[TraceEvent]) -> Vec<RequestLatency> {
-    // Reconstruct per-disk spin-up intervals from the transition stream.
-    let mut spin_ups: BTreeMap<(u32, u32), Vec<(SimTime, SimTime)>> = BTreeMap::new();
-    let mut open: BTreeMap<(u32, u32), SimTime> = BTreeMap::new();
-    for e in events {
-        if let TraceEvent::DiskState {
-            at, node, disk, to, ..
-        } = *e
-        {
-            let lane = (node, disk);
-            if let Some(since) = open.remove(&lane) {
-                spin_ups.entry(lane).or_default().push((since, at));
-            }
-            if to == "spin-up" {
-                open.insert(lane, at);
-            }
-        }
-    }
-    // A spin-up still open at stream end can only overlap queue windows
-    // of requests that never completed, so it is safely dropped.
-
-    // Issue metadata join: (node, id) -> (access, recovery).
-    let mut meta: BTreeMap<(u32, u64), (Option<u64>, bool)> = BTreeMap::new();
-    for e in events {
-        if let TraceEvent::RequestIssued {
-            node,
-            id,
-            access,
-            attempt,
-            recovery,
-            ..
-        } = *e
-        {
-            meta.insert((node, id), (access, recovery || attempt > 0));
-        }
-    }
-
-    let mut out = Vec::new();
-    for e in events {
-        let TraceEvent::Request {
-            node,
-            disk,
-            id,
-            arrival,
-            start,
-            end,
-            energy_nj,
-        } = *e
-        else {
-            continue;
-        };
-        let queue_us = start.saturating_since(arrival).as_micros();
-        let service_us = end.saturating_since(start).as_micros();
-        let spin_up_us = spin_ups
-            .get(&(node, disk))
-            .map(|ivs| {
-                ivs.iter()
-                    .map(|&(s, e)| overlap_us(arrival, start, s, e))
-                    .sum()
-            })
-            .unwrap_or(0)
-            .min(queue_us);
-        let (access, recovery) = meta.get(&(node, id)).copied().unwrap_or((None, false));
-        out.push(RequestLatency {
-            node,
-            disk,
-            id,
-            access,
-            recovery,
-            response_us: queue_us + service_us,
-            queue_us,
-            spin_up_us,
-            wait_us: queue_us - spin_up_us,
-            service_us,
-            energy_nj,
-        });
-    }
-    out
-}
-
-/// Length of the intersection of `[a0, a1)` and `[b0, b1)` in integer
-/// microseconds.
-fn overlap_us(a0: SimTime, a1: SimTime, b0: SimTime, b1: SimTime) -> u64 {
-    let lo = a0.max(b0);
-    let hi = a1.min(b1);
-    hi.saturating_since(lo).as_micros()
 }
 
 #[cfg(test)]
@@ -398,52 +353,93 @@ mod tests {
         assert_eq!(forest.requests.len(), 2);
         assert_eq!(forest.requests[0].faults, 1);
         assert!(!forest.requests[0].completed());
+        assert_eq!(forest.requests[0].response_us(), None);
+        assert!(!forest.requests[0].latency_adds_up());
         assert_eq!(forest.requests[1].attempt, 1);
     }
 
-    #[test]
-    fn decompose_is_exact_and_splits_spin_up() {
-        let events = vec![
-            issue(0, 0, 7, 100, Some(2)),
-            // The disk spins up inside the queue window [100, 400).
+    fn spin_up(node: u32, disk: u32, from: u64, to: u64) -> [TraceEvent; 2] {
+        [
             TraceEvent::DiskState {
-                at: t(150),
-                node: 0,
-                disk: 0,
+                at: t(from),
+                node,
+                disk,
                 from: "standby",
                 to: "spin-up",
                 rpm: 0,
             },
             TraceEvent::DiskState {
-                at: t(350),
-                node: 0,
-                disk: 0,
+                at: t(to),
+                node,
+                disk,
                 from: "spin-up",
                 to: "idle",
                 rpm: 12_000,
             },
-            done(0, 0, 7, 100, 400, 650),
-        ];
-        let lat = decompose(&events);
-        assert_eq!(lat.len(), 1);
-        let r = &lat[0];
-        assert_eq!(r.response_us, 550);
-        assert_eq!(r.queue_us, 300);
+        ]
+    }
+
+    #[test]
+    fn spin_up_share_is_the_overlap_with_the_queue_window() {
+        let mut events = vec![issue(0, 0, 7, 100, Some(2))];
+        // The disk spins up inside the queue window [100, 400); a spin-up
+        // of another disk on the same node does not count.
+        events.extend(spin_up(0, 0, 150, 350));
+        events.extend(spin_up(0, 1, 100, 400));
+        events.push(done(0, 0, 7, 100, 400, 650));
+        let forest = SpanForest::build(&events);
+        let r = &forest.requests[0];
+        assert_eq!(r.response_us(), Some(550));
+        assert_eq!(r.queue_us(), Some(300));
         assert_eq!(r.spin_up_us, 200);
-        assert_eq!(r.wait_us, 100);
-        assert_eq!(r.service_us, 250);
-        assert_eq!(r.queue_us + r.service_us, r.response_us);
-        assert_eq!(r.spin_up_us + r.wait_us, r.queue_us);
+        assert_eq!(r.service_us(), Some(250));
+        assert!(r.latency_adds_up());
         assert_eq!(r.access, Some(2));
         assert!(!r.recovery);
     }
 
     #[test]
-    fn decompose_without_transitions_charges_pure_wait() {
-        let events = vec![done(1, 0, 9, 0, 40, 100)];
-        let lat = decompose(&events);
-        assert_eq!(lat[0].spin_up_us, 0);
-        assert_eq!(lat[0].wait_us, 40);
-        assert_eq!(lat[0].response_us, 100);
+    fn without_transitions_the_queue_is_pure_wait() {
+        let forest = SpanForest::build(&[done(1, 0, 9, 0, 40, 100)]);
+        let r = &forest.requests[0];
+        assert_eq!(r.spin_up_us, 0);
+        assert_eq!(r.queue_us(), Some(40));
+        assert_eq!(r.response_us(), Some(100));
+        assert!(r.latency_adds_up());
+    }
+
+    #[test]
+    fn a_request_that_starts_before_it_arrives_breaks_the_identity() {
+        let forest = SpanForest::build(&[done(0, 0, 1, 100, 50, 200)]);
+        let r = &forest.requests[0];
+        assert_eq!(r.response_us(), Some(100));
+        assert_eq!(r.service_us(), Some(150));
+        assert_eq!(r.queue_us(), None);
+        assert!(!r.latency_adds_up());
+    }
+
+    #[test]
+    fn a_request_that_ends_before_it_starts_breaks_the_identity() {
+        let forest = SpanForest::build(&[done(0, 0, 1, 100, 300, 200)]);
+        let r = &forest.requests[0];
+        assert_eq!(r.response_us(), Some(100));
+        assert_eq!(r.queue_us(), Some(200));
+        assert_eq!(r.service_us(), None);
+        assert!(!r.latency_adds_up());
+    }
+
+    #[test]
+    fn a_spin_up_share_above_the_queue_wait_breaks_the_identity() {
+        // Transitions replayed out of time order give one disk two
+        // overlapping spin-up residencies: 300 + 200 us inside a 300 us
+        // queue window, which the fold does not clamp.
+        let mut events = spin_up(0, 0, 100, 400).to_vec();
+        events.extend(spin_up(0, 0, 150, 350));
+        events.push(done(0, 0, 1, 100, 400, 500));
+        let forest = SpanForest::build(&events);
+        let r = &forest.requests[0];
+        assert_eq!(r.queue_us(), Some(300));
+        assert_eq!(r.spin_up_us, 500);
+        assert!(!r.latency_adds_up());
     }
 }
