@@ -4,8 +4,8 @@
 //! * `repro faults` (`sdds-faults-v1`): every app under a fault scenario
 //!   and fault-free; bytes moved must match.
 //! * `repro rebuild` (`sdds-rebuild-v1`): the replicated object store
-//!   routed, primary-only and fault-free; bytes, the energy split and the
-//!   routed p99 win are checked.
+//!   routed, primary-only and fault-free; bytes, the energy split, the
+//!   read latency identity and the routed p99 win are checked.
 //! * `repro fuzz`: every cell under Deterministic arbitration and under
 //!   seeded shuffles; bytes and finished processes must match.
 //! * `repro online` (`sdds-online-v1`): the table, online and hybrid
@@ -381,13 +381,32 @@ fn rebuild_twin_json(name: &str, params: &RebuildParams, r: &RebuildResult) -> O
         .field("end_us", r.end_us)
 }
 
+/// The integer latency identity of each twin's reads: the summed
+/// response must equal the summed queue, spin-up wait, service and
+/// crash wait, in microseconds.
+fn latency_identity(twins: &[(&str, &RebuildResult)]) -> Check {
+    let mut identity = Check::new("latency identity");
+    for &(name, r) in twins {
+        let parts = r.queue_us + r.spin_up_wait_us + r.service_us + r.crash_wait_us;
+        identity.require(r.response_us == parts, || {
+            format!(
+                "{name}: read response {} us != queue {} + spin-up wait {} + service {} \
+                 + crash wait {} us",
+                r.response_us, r.queue_us, r.spin_up_wait_us, r.service_us, r.crash_wait_us
+            )
+        });
+    }
+    identity
+}
+
 /// `repro rebuild`: runs the replicated object-store scenario as three
 /// twins (routed, primary-only, fault-free), prints the comparison and
 /// builds the `sdds-rebuild-v1` report.
 ///
 /// Checks: byte parity of the foreground traffic with the fault-free
 /// twin (and a finished rebuild), energy reconciliation of the
-/// foreground/rebuild split at 1e-9 J, and the p99 win of routing.
+/// foreground/rebuild split at 1e-9 J, the read latency identity of
+/// every twin, and the p99 win of routing.
 pub fn rebuild(scenario: &str, seed: u64, out: Option<&Path>) -> Result<Outcome, CommandError> {
     let routed_params = RebuildParams::paper_default(seed, Some(fault_spec(scenario, seed)?));
     let mut unrouted_params = routed_params.clone();
@@ -458,6 +477,7 @@ pub fn rebuild(scenario: &str, seed: u64, out: Option<&Path>) -> Result<Outcome,
             },
         );
     }
+    let identity = latency_identity(&twins);
     let mut p99 = Check::new("p99 win");
     p99.require(routed.read_p99_us < unrouted.read_p99_us, || {
         format!(
@@ -516,6 +536,31 @@ pub fn rebuild(scenario: &str, seed: u64, out: Option<&Path>) -> Result<Outcome,
             );
         o.files.push((path.to_path_buf(), report.document()));
     }
-    o.checks.extend([parity, energy, p99]);
+    o.checks.extend([parity, energy, identity, p99]);
     Ok(o)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_read_split_that_does_not_sum_fails_the_latency_identity() {
+        let params = RebuildParams::small(7, FaultSpec::scenario("heavy", 7));
+        let sound = run_rebuild(&params, None).unwrap();
+        let mut broken = sound.clone();
+        broken.response_us += 1;
+        let outcome = Outcome {
+            checks: vec![latency_identity(&[("sound", &sound), ("broken", &broken)])],
+            ..Outcome::default()
+        };
+        let failures = outcome.failures();
+        assert_eq!(failures.len(), 1, "{failures:?}");
+        assert!(
+            failures[0].starts_with("check `latency identity` failed: broken: read response"),
+            "{}",
+            failures[0]
+        );
+        assert_eq!(outcome.exit_code(), 1);
+    }
 }
