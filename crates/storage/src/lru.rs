@@ -49,14 +49,19 @@ struct Slot<K, V> {
 impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
     /// Creates a cache holding at most `capacity` entries.
     ///
+    /// The index and the slot vector are presized for at most 4,096
+    /// entries and grow as the cache fills, so a capacity far beyond what
+    /// memory holds costs nothing up front.
+    ///
     /// # Panics
     ///
     /// Panics if `capacity` is zero.
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "LRU capacity must be positive");
+        let presize = capacity.min(4_096);
         LruCache {
-            map: FxHashMap::with_capacity_and_hasher(capacity, Default::default()),
-            slots: Vec::with_capacity(capacity.min(4_096)),
+            map: FxHashMap::with_capacity_and_hasher(presize, Default::default()),
+            slots: Vec::with_capacity(presize),
             free: Vec::new(),
             head: None,
             tail: None,
@@ -291,6 +296,25 @@ mod tests {
         assert_eq!(c.insert(1, "a"), None);
         assert_eq!(c.insert(2, "b"), Some((1, "a")));
         assert_eq!(c.get(&2), Some(&"b"));
+    }
+
+    #[test]
+    fn a_capacity_no_allocator_could_presize_fills_as_it_goes() {
+        let mut c = LruCache::new(usize::MAX);
+        for k in 0..5_000u64 {
+            assert_eq!(c.insert(k, k), None);
+        }
+        // Evict the three oldest by hand; new keys reuse their slots.
+        for k in 0..3u64 {
+            assert_eq!(c.pop_lru(), Some((k, k)));
+        }
+        for k in 5_000..5_003u64 {
+            assert_eq!(c.insert(k, k), None);
+        }
+        assert_eq!(c.len(), 5_000);
+        assert_eq!(c.slots.len(), 5_000);
+        assert_eq!(c.keys_mru().next(), Some(&5_002));
+        assert!(c.contains(&3) && !c.contains(&2));
     }
 
     #[test]
