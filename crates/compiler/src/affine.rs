@@ -11,10 +11,10 @@ use std::collections::BTreeMap;
 /// # Example
 ///
 /// ```
-/// use sdds_compiler::affine::AffineExpr;
+/// use sdds_compiler::ir::ExprBuilder;
 ///
 /// // 100 + 8*i + 2*p
-/// let e = AffineExpr::constant(100).with_term("i", 8).with_term("p", 2);
+/// let e = ExprBuilder::new().plus(100).term("i", 8).term("p", 2).build();
 /// let env = [("i", 3), ("p", 5)];
 /// assert_eq!(e.eval(|v| env.iter().find(|(n, _)| *n == v).map(|(_, x)| *x)).unwrap(), 134);
 /// ```
@@ -26,28 +26,12 @@ pub struct AffineExpr {
 }
 
 impl AffineExpr {
-    /// The zero expression.
-    pub fn zero() -> Self {
-        Self::default()
-    }
-
     /// A constant expression.
     pub fn constant(c: i64) -> Self {
         AffineExpr {
             constant: c,
             terms: BTreeMap::new(),
         }
-    }
-
-    /// A single variable with coefficient 1.
-    pub fn var(name: &str) -> Self {
-        AffineExpr::zero().with_term(name, 1)
-    }
-
-    /// Returns this expression plus `coeff · name` (builder style).
-    pub fn with_term(mut self, name: &str, coeff: i64) -> Self {
-        self.add_term(name, coeff);
-        self
     }
 
     /// Adds `coeff · name` in place.
@@ -90,21 +74,18 @@ impl AffineExpr {
     }
 }
 
-impl From<i64> for AffineExpr {
-    fn from(c: i64) -> Self {
-        AffineExpr::constant(c)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ir::ExprBuilder;
 
     #[test]
     fn builder_and_eval() {
-        let e = AffineExpr::constant(10)
-            .with_term("i", 3)
-            .with_term("j", -1);
+        let e = ExprBuilder::new()
+            .plus(10)
+            .term("i", 3)
+            .term("j", -1)
+            .build();
         let val = e
             .eval(|v| match v {
                 "i" => Some(4),
@@ -117,29 +98,28 @@ mod tests {
 
     #[test]
     fn unbound_variable_reports_name() {
-        let e = AffineExpr::var("k");
+        let e = ExprBuilder::new().term("k", 1).build();
         assert_eq!(e.eval(|_| None), Err("k"));
     }
 
     #[test]
     fn zero_coefficients_collapse() {
-        let mut e = AffineExpr::var("i").with_term("j", 2);
+        let mut e = ExprBuilder::new().term("i", 1).term("j", 2).build();
         e.add_term("i", -1);
         assert_eq!(e.variables().collect::<Vec<_>>(), vec!["j"]);
-        let e2 = AffineExpr::zero().with_term("x", 0);
+        let e2 = ExprBuilder::new().term("x", 0).build();
         assert_eq!(e2.variables().count(), 0);
     }
 
     #[test]
     fn variables_listed() {
-        let e = AffineExpr::var("b").with_term("a", 2);
+        let e = ExprBuilder::new().term("b", 1).term("a", 2).build();
         let vars: Vec<&str> = e.variables().collect();
         assert_eq!(vars, vec!["a", "b"]); // sorted
     }
 
     #[test]
-    fn from_i64() {
-        let e: AffineExpr = 42.into();
-        assert_eq!(e.eval(|_| None).unwrap(), 42);
+    fn constant_evaluates_without_bindings() {
+        assert_eq!(AffineExpr::constant(42).eval(|_| None), Ok(42));
     }
 }

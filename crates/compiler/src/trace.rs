@@ -546,7 +546,7 @@ mod tests {
             b.loop_expr(
                 "j",
                 crate::affine::AffineExpr::constant(0),
-                crate::affine::AffineExpr::var("i"),
+                crate::ir::ExprBuilder::new().term("i", 1).build(),
                 move |b| {
                     b.io(
                         IoDirection::Read,

@@ -41,29 +41,6 @@ pub enum DiskState {
 }
 
 impl DiskState {
-    /// Returns `true` if the disk can start serving a request in this state
-    /// without first completing a transition.
-    pub fn can_serve(&self) -> bool {
-        matches!(self, DiskState::Idle { .. })
-    }
-
-    /// Returns `true` if the disk is actively serving a request.
-    pub fn is_busy_serving(&self) -> bool {
-        matches!(
-            self,
-            DiskState::Seeking { .. } | DiskState::Transferring { .. }
-        )
-    }
-
-    /// Returns `true` if this state is a timed transition that must run to
-    /// completion (spin-up/down, speed change).
-    pub fn is_transition(&self) -> bool {
-        matches!(
-            self,
-            DiskState::SpinningDown | DiskState::SpinningUp | DiskState::ChangingSpeed { .. }
-        )
-    }
-
     /// The rotational speed in this state, or `None` when the platters are
     /// stopped or between speeds.
     pub fn rpm(&self) -> Option<Rpm> {
@@ -106,28 +83,14 @@ mod tests {
     use super::*;
 
     #[test]
-    fn serve_and_transition_flags() {
-        let full = Rpm::new(12_000);
-        assert!(DiskState::Idle { rpm: full }.can_serve());
-        assert!(!DiskState::Standby.can_serve());
-        assert!(!DiskState::SpinningUp.can_serve());
-        assert!(DiskState::Seeking { rpm: full }.is_busy_serving());
-        assert!(DiskState::Transferring { rpm: full }.is_busy_serving());
-        assert!(!DiskState::Idle { rpm: full }.is_busy_serving());
-        assert!(DiskState::SpinningDown.is_transition());
-        assert!(DiskState::ChangingSpeed {
-            from: full,
-            to: Rpm::new(3_600)
-        }
-        .is_transition());
-        assert!(!DiskState::Standby.is_transition());
-    }
-
-    #[test]
     fn rpm_extraction() {
         let r = Rpm::new(4_800);
         assert_eq!(DiskState::Idle { rpm: r }.rpm(), Some(r));
+        assert_eq!(DiskState::Seeking { rpm: r }.rpm(), Some(r));
+        assert_eq!(DiskState::Transferring { rpm: r }.rpm(), Some(r));
         assert_eq!(DiskState::Standby.rpm(), None);
+        assert_eq!(DiskState::SpinningDown.rpm(), None);
+        assert_eq!(DiskState::SpinningUp.rpm(), None);
         assert_eq!(
             DiskState::ChangingSpeed {
                 from: r,

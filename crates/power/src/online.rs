@@ -230,11 +230,6 @@ impl HybridPolicy {
             scratch: Decision::new(),
         })
     }
-
-    /// True once control has passed to the online half.
-    pub fn online_active(&self) -> bool {
-        self.use_online
-    }
 }
 
 impl EnergyPolicy for HybridPolicy {
@@ -404,13 +399,17 @@ mod tests {
         let params = DiskParams::paper_defaults();
         let mut disks = vec![Disk::new(params.clone()).unwrap()];
         let mut p = HybridPolicy::new(&params, 1.0, 1.0, rng()).unwrap();
-        assert!(!p.online_active());
+        assert_eq!(p.snapshot().mode, Some("table-calibrated"));
         // Feed enough well-spaced arrivals to cross the threshold.
         for i in 0..13u64 {
             arrival(&mut p, t(i * 2_000_000), Some(secs(1)), &mut disks);
         }
         idle_start(&mut p, t(26_000_000), &mut disks);
-        assert!(p.online_active(), "control passes to the online half");
+        assert_eq!(
+            p.snapshot().mode,
+            Some("online"),
+            "control passes to the online half"
+        );
         assert_eq!(p.name(), "hybrid");
     }
 
@@ -423,7 +422,7 @@ mod tests {
         // half drives, arming its activation gate.
         arrival(&mut p, t(0), Some(secs(60)), &mut disks);
         let gate = idle_start(&mut p, t(0), &mut disks).unwrap();
-        assert!(!p.online_active());
+        assert_eq!(p.snapshot().mode, Some("table-calibrated"));
         assert_eq!(gate, SimTime::ZERO + p.base.activation());
     }
 }

@@ -25,9 +25,9 @@
 //! assert_ne!(workload.next_u64(), faults.next_u64());
 //! ```
 //!
-//! Within a domain, derive per-component children with [`DetRng::fork`]
-//! in a fixed order; a child's stream depends only on the parent state at
-//! the fork, not on later parent draws.
+//! Within a domain, derive per-component children with
+//! [`DetRng::substream`], one label each; a child's stream depends only
+//! on the parent state and its label, not on later parent draws.
 
 /// A top-level randomness domain, used to split one user-facing seed into
 /// mutually independent streams.
@@ -42,26 +42,16 @@
 pub enum StreamId {
     /// Workload generation (application access patterns, arrival jitter).
     Workload,
-    /// Executor scheduling in [`pool`](crate::pool).
-    Pool,
     /// Fault-plan generation and online fault draws in
     /// [`fault`](crate::fault).
     Fault,
-    /// Compile-phase randomness (scheduler tie-breaks).
-    Compile,
     /// Online energy-policy randomness (predictor jitter, tie-breaks).
     Policy,
 }
 
 impl StreamId {
     /// Every stream domain, in declaration order.
-    pub const ALL: [StreamId; 5] = [
-        StreamId::Workload,
-        StreamId::Pool,
-        StreamId::Fault,
-        StreamId::Compile,
-        StreamId::Policy,
-    ];
+    pub const ALL: [StreamId; 3] = [StreamId::Workload, StreamId::Fault, StreamId::Policy];
 
     /// The domain-separation tag mixed into the user seed. Tags are
     /// arbitrary odd constants; what matters is that they are pairwise
@@ -69,9 +59,7 @@ impl StreamId {
     fn tag(self) -> u64 {
         match self {
             StreamId::Workload => 0x574f_524b_4c4f_4144, // "WORKLOAD"
-            StreamId::Pool => 0x504f_4f4c_5f45_5845,     // "POOL_EXE"
             StreamId::Fault => 0x4641_554c_545f_494e,    // "FAULT_IN"
-            StreamId::Compile => 0x434f_4d50_494c_4552,  // "COMPILER"
             StreamId::Policy => 0x504f_4c49_4359_5f45,   // "POLICY_E"
         }
     }
@@ -105,8 +93,9 @@ fn derive_stream_seed(seed: u64, tag: u64) -> u64 {
 /// Every stochastic choice in the simulator draws from a `DetRng` created
 /// from an explicit seed, so a given configuration always reproduces exactly
 /// the same run. Components that need independent streams should derive
-/// child generators with [`DetRng::fork`] rather than sharing one generator,
-/// so that adding draws in one component does not perturb another.
+/// child generators with [`DetRng::substream`] rather than sharing one
+/// generator, so that adding draws in one component does not perturb
+/// another.
 ///
 /// # Example
 ///
@@ -175,26 +164,16 @@ impl DetRng {
         DetRng::new(derive_stream_seed(seed, stream.tag()))
     }
 
-    /// Derives an independent child generator.
-    ///
-    /// The child's stream is a pure function of the parent's state at the
-    /// time of the fork, so sibling forks taken in a fixed order are
-    /// mutually independent and reproducible.
-    pub fn fork(&mut self) -> DetRng {
-        DetRng::new(self.next_u64())
-    }
-
     /// Derives an independent child generator named by `label`, without
     /// advancing the parent.
     ///
-    /// Unlike [`DetRng::fork`], which consumes a draw from the parent (so
-    /// sibling forks must be taken in a fixed order), `substream` is a pure
-    /// function of the parent's *current state* and the label: any set of
-    /// distinctly-labelled substreams taken from the same parent state is
-    /// mutually independent regardless of the order they are created in,
-    /// and re-deriving the same label yields the same stream. This is the
-    /// workspace-standard way to hand one seeded domain out to many named
-    /// components (per-disk fault profiles, per-node online policies).
+    /// `substream` is a pure function of the parent's *current state* and
+    /// the label: any set of distinctly-labelled substreams taken from the
+    /// same parent state is mutually independent regardless of the order
+    /// they are created in, and re-deriving the same label yields the same
+    /// stream. This is the workspace-standard way to hand one seeded
+    /// domain out to many named components (per-disk fault profiles,
+    /// per-node online policies).
     pub fn substream(&self, label: &str) -> DetRng {
         let tag = label_tag(label);
         // Mix the four state words with the label tag through SplitMix64
@@ -297,17 +276,6 @@ mod tests {
         let xs: Vec<u64> = (0..32).map(|_| a.next_u64()).collect();
         let ys: Vec<u64> = (0..32).map(|_| b.next_u64()).collect();
         assert_eq!(xs, ys);
-    }
-
-    #[test]
-    fn forks_are_independent_of_parent_usage_order() {
-        let mut parent1 = DetRng::new(1);
-        let mut parent2 = DetRng::new(1);
-        let mut child1 = parent1.fork();
-        let mut child2 = parent2.fork();
-        // Draw from parent1 between child creations; the children still agree.
-        let _ = parent1.next_u64();
-        assert_eq!(child1.next_u64(), child2.next_u64());
     }
 
     #[test]

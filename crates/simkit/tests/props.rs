@@ -98,14 +98,14 @@ proptest! {
         prop_assert_eq!(counted, samples.len() as u64);
     }
 
-    /// Two generators with the same seed agree; a fork is independent of
-    /// later parent draws.
+    /// Two generators with the same seed agree; a substream is
+    /// independent of later parent draws.
     #[test]
     fn rng_reproducibility(seed in any::<u64>(), extra_draws in 0usize..10) {
         let mut a = DetRng::new(seed);
-        let mut b = DetRng::new(seed);
-        let mut fa = a.fork();
-        let mut fb = b.fork();
+        let b = DetRng::new(seed);
+        let mut fa = a.substream("child");
+        let mut fb = b.substream("child");
         for _ in 0..extra_draws {
             let _ = a.unit_f64();
         }

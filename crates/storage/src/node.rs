@@ -274,16 +274,11 @@ impl IoNode {
         c
     }
 
-    /// Submits a node-local block read at `t`.
-    pub fn submit_read(&mut self, block: BlockKey, t: SimTime) -> NodeOp {
-        self.submit_read_for(block, t, None)
-    }
-
     /// Submits a node-local block read at `t` on behalf of engine access
     /// `access`, so issue-anchored trace events carry the causal parent
     /// link. Prefetches triggered by the read stay unparented (they are
     /// cache-initiated, not part of the access's critical path).
-    pub fn submit_read_for(&mut self, block: BlockKey, t: SimTime, access: Option<u64>) -> NodeOp {
+    pub fn submit_read(&mut self, block: BlockKey, t: SimTime, access: Option<u64>) -> NodeOp {
         self.now = self.now.max(t);
         let outcome = self.cache.read(block);
         if let Some(sink) = self.trace.as_mut() {
@@ -339,14 +334,9 @@ impl IoNode {
         NodeOp::Pending(op)
     }
 
-    /// Submits a node-local block write at `t` (write-through).
-    pub fn submit_write(&mut self, block: BlockKey, t: SimTime) -> NodeOp {
-        self.submit_write_for(block, t, None)
-    }
-
-    /// Submits a node-local block write at `t` on behalf of engine access
-    /// `access` (see [`IoNode::submit_read_for`]).
-    pub fn submit_write_for(&mut self, block: BlockKey, t: SimTime, access: Option<u64>) -> NodeOp {
+    /// Submits a node-local block write at `t` (write-through) on behalf
+    /// of engine access `access` (see [`IoNode::submit_read`]).
+    pub fn submit_write(&mut self, block: BlockKey, t: SimTime, access: Option<u64>) -> NodeOp {
         self.now = self.now.max(t);
         let outcome = self.cache.write(block);
         if let Some(sink) = self.trace.as_mut() {
@@ -864,7 +854,7 @@ mod tests {
     #[test]
     fn read_miss_completes_via_disks() {
         let mut n = node();
-        let op = match n.submit_read(block(0), t(0)) {
+        let op = match n.submit_read(block(0), t(0), None) {
             NodeOp::Pending(op) => op,
             hit => panic!("expected a miss, got {hit:?}"),
         };
@@ -878,10 +868,10 @@ mod tests {
     #[test]
     fn read_hit_after_fill() {
         let mut n = node();
-        n.submit_read(block(0), t(0));
+        n.submit_read(block(0), t(0), None);
         n.advance_to(t(5_000_000));
         n.drain_completions();
-        match n.submit_read(block(0), t(5_000_000)) {
+        match n.submit_read(block(0), t(5_000_000), None) {
             NodeOp::Hit(done) => assert_eq!(done, t(5_000_000) + n.hit_latency),
             other => panic!("expected a hit, got {other:?}"),
         }
@@ -890,11 +880,11 @@ mod tests {
     #[test]
     fn prefetch_makes_next_block_a_hit() {
         let mut n = node();
-        n.submit_read(block(0), t(0)); // prefetches blocks 1, 2
+        n.submit_read(block(0), t(0), None); // prefetches blocks 1, 2
         n.advance_to(t(5_000_000));
         n.drain_completions();
         assert!(matches!(
-            n.submit_read(block(1), t(5_000_000)),
+            n.submit_read(block(1), t(5_000_000), None),
             NodeOp::Hit(_)
         ));
         assert!(n.cache().stats().useful_prefetches >= 1);
@@ -903,7 +893,7 @@ mod tests {
     #[test]
     fn write_fans_out_to_all_members() {
         let mut n = node();
-        let op = match n.submit_write(block(3), t(0)) {
+        let op = match n.submit_write(block(3), t(0), None) {
             NodeOp::Pending(op) => op,
             hit => panic!("unexpected {hit:?}"),
         };
@@ -919,7 +909,7 @@ mod tests {
     #[test]
     fn completion_time_is_slowest_member() {
         let mut n = node();
-        n.submit_read(block(0), t(0));
+        n.submit_read(block(0), t(0), None);
         n.advance_to(t(5_000_000));
         let done = n.drain_completions();
         assert!(done[0].1 >= t(0));
@@ -937,7 +927,7 @@ mod tests {
     #[test]
     fn idle_histogram_merges_members() {
         let mut n = node();
-        n.submit_read(block(0), t(1_000_000));
+        n.submit_read(block(0), t(1_000_000), None);
         n.finish(t(2_000_000));
         let h = n.idle_histogram();
         // Each of the 3 data disks (RAID-5 read) has idle periods before
@@ -969,7 +959,7 @@ mod tests {
                 ..DiskFaultProfile::none()
             },
         ));
-        let NodeOp::Pending(op) = n.submit_read(block(0), t(0)) else {
+        let NodeOp::Pending(op) = n.submit_read(block(0), t(0), None) else {
             panic!("expected a miss");
         };
         n.advance_to(t(30_000_000));
@@ -999,7 +989,7 @@ mod tests {
                 ..DiskFaultProfile::none()
             },
         ));
-        n.submit_read(block(0), t(0));
+        n.submit_read(block(0), t(0), None);
         n.advance_to(t(30_000_000));
         n.drain_completions();
         let c = n.fault_counters();
@@ -1007,7 +997,7 @@ mod tests {
         assert!(c.remapped >= 1);
         // The prefetched block still landed in the cache.
         assert!(matches!(
-            n.submit_read(block(1), t(30_000_000)),
+            n.submit_read(block(1), t(30_000_000), None),
             NodeOp::Hit(_)
         ));
     }
@@ -1021,7 +1011,7 @@ mod tests {
                 ..DiskFaultProfile::none()
             },
         ));
-        let NodeOp::Pending(op) = n.submit_read(block(0), t(0)) else {
+        let NodeOp::Pending(op) = n.submit_read(block(0), t(0), None) else {
             panic!("expected a miss");
         };
         // Completes well inside the crash window: member 3's chunk was
@@ -1043,7 +1033,7 @@ mod tests {
                 ..DiskFaultProfile::none()
             },
         ));
-        let NodeOp::Pending(op) = n.submit_write(block(0), t(0)) else {
+        let NodeOp::Pending(op) = n.submit_write(block(0), t(0), None) else {
             panic!("expected disk work");
         };
         // A full-stripe write cannot skip the crashed member, so the op
@@ -1072,7 +1062,7 @@ mod tests {
             ));
             let mut ops = Vec::new();
             for (i, at) in [(0u64, 0u64), (4, 1_000_000), (8, 2_000_000)] {
-                if let NodeOp::Pending(op) = n.submit_read(block(i), t(at)) {
+                if let NodeOp::Pending(op) = n.submit_read(block(i), t(at), None) {
                     ops.push(op);
                 }
             }
@@ -1093,7 +1083,7 @@ mod tests {
     #[test]
     fn no_plan_keeps_counters_zero() {
         let mut n = node();
-        n.submit_read(block(0), t(0));
+        n.submit_read(block(0), t(0), None);
         n.advance_to(t(10_000_000));
         n.drain_completions();
         assert!(n.fault_counters().is_zero());
@@ -1102,8 +1092,8 @@ mod tests {
     #[test]
     fn distinct_ops_complete_independently() {
         let mut n = node();
-        let op0 = n.submit_read(block(0), t(0));
-        let op1 = n.submit_read(block(10), t(0));
+        let op0 = n.submit_read(block(0), t(0), None);
+        let op1 = n.submit_read(block(10), t(0), None);
         n.advance_to(t(10_000_000));
         let done = n.drain_completions();
         assert_eq!(done.len(), 2);

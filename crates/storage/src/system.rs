@@ -8,7 +8,6 @@ use simkit::SimTime;
 
 use crate::error::StorageError;
 use crate::node::{IoNode, NodeConfig, NodeOp};
-use crate::node_set::NodeSet;
 use crate::striping::{FileId, StripingLayout};
 
 /// Whether a file access reads or writes.
@@ -203,12 +202,6 @@ impl StorageSystem {
         &self.nodes
     }
 
-    /// The set of I/O nodes an access would touch (its signature).
-    pub fn signature_of(&self, access: &FileAccess) -> NodeSet {
-        self.layout
-            .nodes_for_range(access.file, access.offset, access.len)
-    }
-
     /// Submits an access at `t`; the returned id will appear in a
     /// completion once all touched nodes finish.
     ///
@@ -237,8 +230,8 @@ impl StorageSystem {
             // The access id rides along so issue-anchored trace events can
             // parent-link member requests to this access's span.
             let op = match access.kind {
-                AccessKind::Read => self.nodes[node_idx].submit_read_for(key, t, Some(id.0)),
-                AccessKind::Write => self.nodes[node_idx].submit_write_for(key, t, Some(id.0)),
+                AccessKind::Read => self.nodes[node_idx].submit_read(key, t, Some(id.0)),
+                AccessKind::Write => self.nodes[node_idx].submit_write(key, t, Some(id.0)),
             };
             match op {
                 NodeOp::Hit(done) => hit_latest = hit_latest.max(done),
@@ -387,6 +380,7 @@ impl StorageSystem {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::node_set::NodeSet;
     use simkit::SimDuration;
 
     fn t(us: u64) -> SimTime {
@@ -431,7 +425,10 @@ mod tests {
     fn signature_matches_layout() {
         let sys = system();
         let acc = FileAccess::read(FileId(0), 0, 256 * KB);
-        assert_eq!(sys.signature_of(&acc), NodeSet::from_nodes([0, 1, 2, 3]));
+        assert_eq!(
+            sys.layout().nodes_for_range(acc.file, acc.offset, acc.len),
+            NodeSet::from_nodes([0, 1, 2, 3])
+        );
     }
 
     #[test]
