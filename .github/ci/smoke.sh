@@ -81,10 +81,12 @@ EOF
   attrib)
     # Full attribution matrix on a fault-heavy cell plus a multi-shard
     # observed scene, run twice in separate processes. The command itself
-    # hard-fails if any cell's per-state energy does not reconcile with
-    # the headline joules to 1e-9 or a latency split breaks its
-    # exact-sum invariant; the two sdds-attrib-v1 reports must
-    # additionally be byte-identical.
+    # hard-fails on any of its checks: `energy reconciliation` (each
+    # cell's per-state energy sums to the headline joules within 1e-9),
+    # `latency identity` (each completed request span's queue and service
+    # add up to its own end - arrival, with its spin-up share inside the
+    # queue), `telemetry` and `observer event count`. The two
+    # sdds-attrib-v1 reports must additionally be byte-identical.
     for rep in a b; do
       repro attrib --apps sar --procs 8 --factor 0.2 --gap-factor 0.05 \
         --scenario heavy --seed 42 --shards 4 \
@@ -120,21 +122,28 @@ EOF
     ;;
 
   rebuild)
-    # The replicated object-store scenario, run twice in separate
-    # processes. The command itself hard-fails unless foreground bytes
-    # match the fault-free twin, the foreground/rebuild energy split
-    # reconciles with the headline joules, and straggler-aware routing
-    # improves the p99 read latency; the two sdds-rebuild-v1 reports
-    # must additionally be byte-identical (the whole scenario is a pure
-    # function of the seed).
-    for rep in a b; do
-      repro rebuild --scenario light --seed 42 --out "out/rebuild-$rep.json"
+    # The replicated object-store scenario under the light and the heavy
+    # fault plan (heavy has three 5 s crash windows instead of one 2 s
+    # window), each run twice in separate processes. The command itself
+    # hard-fails on any of its checks: `byte parity` (foreground bytes
+    # match the fault-free twin and the rebuild finishes), `energy
+    # reconciliation` (the foreground/rebuild split sums to the headline
+    # joules), `latency identity` (each twin's read response equals queue
+    # + spin-up wait + service + crash wait) and `p99 win` (routing
+    # improves the p99 read latency). The two sdds-rebuild-v1 reports of
+    # each scenario must additionally be byte-identical (the whole
+    # scenario is a pure function of the seed).
+    for scenario in light heavy; do
+      for rep in a b; do
+        repro rebuild --scenario "$scenario" --seed 42 \
+          --out "out/rebuild-$scenario-$rep.json"
+      done
+      cmp "out/rebuild-$scenario-a.json" "out/rebuild-$scenario-b.json" || {
+        echo "rebuild report for $scenario is not deterministic" >&2
+        exit 1
+      }
+      echo "rebuild $scenario: deterministic across separate processes"
     done
-    cmp out/rebuild-a.json out/rebuild-b.json || {
-      echo "rebuild report is not deterministic" >&2
-      exit 1
-    }
-    echo "rebuild light: deterministic across separate processes"
     ;;
 
   examples)
