@@ -400,6 +400,31 @@ impl Disk {
         }
     }
 
+    /// Accrues energy up to each of `cuts` in turn: the accruals one
+    /// [`Disk::advance_to`] per cut point makes when no phase boundary
+    /// falls at or before the last of them, without the stepping.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the cut points go backwards or start before the disk's
+    /// current time.
+    pub fn accrue_through(&mut self, cuts: &[SimTime]) {
+        debug_assert!(
+            cuts.last()
+                .is_none_or(|&t| self.phase_end.is_none_or(|end| end > t)),
+            "a phase boundary falls inside the cut points"
+        );
+        for &t in cuts {
+            assert!(
+                t >= self.now,
+                "disk time cannot move backwards ({} -> {})",
+                self.now,
+                t
+            );
+            self.accrue_until(t);
+        }
+    }
+
     /// Submits a request at time `t` (advancing the disk to `t` first).
     ///
     /// # Panics

@@ -268,22 +268,39 @@ impl PoweredArray {
         self.cached_next
     }
 
+    /// Whether advancing to `t` would do more than accrue energy: a member
+    /// boundary or the policy timer falls at or before `t`, or the array
+    /// still owes its policy an `IdleStart` (a fresh array, or one whose
+    /// last request just completed), which the next advance delivers.
+    pub fn due_by(&self, t: SimTime) -> bool {
+        let idle_pending = self.outstanding == 0 && !self.idle_signaled;
+        idle_pending || self.cached_next.is_some_and(|next| next <= t)
+    }
+
+    /// Accrues every member up to each of `cuts` in turn: the same
+    /// accruals as one [`PoweredArray::advance_to`] per cut point while
+    /// nothing is [due](PoweredArray::due_by) by the last of them.
+    pub fn accrue_through(&mut self, cuts: &[SimTime]) {
+        debug_assert!(
+            cuts.last().is_none_or(|&t| !self.due_by(t)),
+            "the array has work due inside the cut points"
+        );
+        for disk in &mut self.disks {
+            disk.accrue_through(cuts);
+        }
+    }
+
     /// Advances to `t`, firing disk events and policy timers in order.
     ///
-    /// When no member boundary or policy timer is due by `t` and no idle
-    /// signal is pending, the members only accrue energy up to `t`: the
-    /// same cut point as the full path, without its stepping and idle
-    /// bookkeeping.
+    /// When nothing is [due](PoweredArray::due_by) by `t`, the members
+    /// only accrue energy up to `t`: the same cut point as the full path,
+    /// without its stepping and idle bookkeeping.
     ///
     /// # Panics
     ///
     /// Panics if `t` is earlier than any disk's current time.
     pub fn advance_to(&mut self, t: SimTime) {
-        // An array with no work that has not yet signalled its policy (a
-        // fresh array, or one whose last request just completed) has its
-        // `IdleStart` pending, so it takes the full path below.
-        let idle_pending = self.outstanding == 0 && !self.idle_signaled;
-        if !idle_pending && self.cached_next.is_none_or(|next| next > t) {
+        if !self.due_by(t) {
             self.debug_check_outstanding();
             debug_assert!(
                 self.disks

@@ -380,6 +380,29 @@ impl IoNode {
         }
     }
 
+    /// Whether advancing to `t` would do more than accrue energy: the
+    /// power driver has work [due](PoweredArray::due_by) by `t`, or a
+    /// deferred recovery submission falls at or before `t`.
+    pub fn due_by(&self, t: SimTime) -> bool {
+        self.array.due_by(t) || self.deferred.peek_time().is_some_and(|at| at <= t)
+    }
+
+    /// Replays cut points this node was not advanced to: the same
+    /// accruals as one [`IoNode::advance_to`] per cut point while nothing
+    /// is [due](IoNode::due_by) by the last of them.
+    pub fn accrue_through(&mut self, cuts: &[SimTime]) {
+        let Some(&last) = cuts.last() else {
+            return;
+        };
+        debug_assert!(
+            !self.due_by(last),
+            "node {} has work due by {last}",
+            self.id
+        );
+        self.array.accrue_through(cuts);
+        self.now = self.now.max(last);
+    }
+
     /// Advances all member disks to `t` and collects op completions,
     /// releasing any deferred recovery submissions that come due on the
     /// way.

@@ -8,6 +8,7 @@ use simkit::SimTime;
 
 use crate::error::StorageError;
 use crate::node::{IoNode, NodeConfig, NodeOp};
+use crate::node_set::NodeSet;
 use crate::striping::{FileId, StripingLayout};
 
 /// Whether a file access reads or writes.
@@ -135,9 +136,25 @@ pub struct StorageSystem {
     /// a node's schedule can change (submit / advance / finish), so
     /// [`StorageSystem::next_event_time`] reads a field.
     cached_next: Option<SimTime>,
+    /// Every instant [`StorageSystem::advance_to`] was called with since
+    /// the timeline was last cleared: the cut points each disk's energy
+    /// sums are sliced at.
+    timeline: Vec<SimTime>,
+    /// Per node, how many of the timeline's cut points it has applied.
+    /// A node with nothing due is left behind and replays the rest before
+    /// anything else touches it.
+    synced: Vec<usize>,
+    /// Nodes submitted to or advanced since the last drain: the only ones
+    /// that can hold completions.
+    touched: NodeSet,
     bytes_read: u64,
     bytes_written: u64,
 }
+
+/// How many cut points the timeline holds before every node catches up
+/// and it is cleared, so a node no access reaches does not keep one
+/// entry per storage event alive for the whole run.
+const TIMELINE_CAP: usize = 1024;
 
 impl StorageSystem {
     /// Builds the array.
@@ -152,12 +169,15 @@ impl StorageSystem {
             .collect::<Result<Vec<_>, _>>()?;
         Ok(StorageSystem {
             layout: config.layout,
+            synced: vec![0; nodes.len()],
             nodes,
             next_access: 0,
             pending: FxHashMap::default(),
             op_owner: FxHashMap::default(),
             completions: Vec::new(),
             cached_next: None,
+            timeline: Vec::new(),
+            touched: NodeSet::EMPTY,
             bytes_read: 0,
             bytes_written: 0,
         })
@@ -198,6 +218,11 @@ impl StorageSystem {
     }
 
     /// The I/O nodes (read-only).
+    ///
+    /// A node with nothing due is not advanced with the others, so until
+    /// its next submit or advance its energy and residency lag behind the
+    /// last [`StorageSystem::advance_to`]; after [`StorageSystem::finish`]
+    /// every node is exact.
     pub fn nodes(&self) -> &[IoNode] {
         &self.nodes
     }
@@ -226,6 +251,7 @@ impl StorageSystem {
         // distinct (node, local block) pairs, so every piece is its own
         // node-level block op.
         for (node_idx, local_block, _off, _len) in pieces {
+            self.catch_up(node_idx);
             let key = (access.file, local_block);
             // The access id rides along so issue-anchored trace events can
             // parent-link member requests to this access's span.
@@ -261,22 +287,41 @@ impl StorageSystem {
         self.cached_next
     }
 
-    /// Advances every node to `t`, resolving access completions.
+    /// Advances the array to `t`, resolving access completions.
     ///
-    /// All nodes advance together (energy accrual is a float sum, so the
-    /// slicing of advances must not depend on which node fires first);
+    /// Energy accrual is a float sum, so every disk's sum is sliced at
+    /// every instant this is called with, whichever node has work then.
+    /// Only the nodes with something [due](IoNode::due_by) by `t` advance
+    /// now; `t` joins the timeline of cut points, and each other node
+    /// replays the ones it skipped, as the same accruals in the same
+    /// order, before its next submit, advance or finish.
     /// [`StorageSystem::next_event_time`] only supplies the next instant
     /// to advance to.
     pub fn advance_to(&mut self, t: SimTime) {
-        for node in &mut self.nodes {
-            node.advance_to(t);
+        if self.timeline.len() == TIMELINE_CAP {
+            self.catch_up_all();
         }
+        for i in 0..self.nodes.len() {
+            if self.nodes[i].due_by(t) {
+                self.catch_up(i);
+                self.nodes[i].advance_to(t);
+                self.synced[i] += 1;
+            }
+        }
+        self.timeline.push(t);
         self.collect();
         self.refresh_next();
+        debug_assert!(
+            self.nodes
+                .iter()
+                .all(|n| n.next_event_time().is_none_or(|at| at > t)),
+            "a node still has an event due by {t}"
+        );
     }
 
     /// Ends the simulation at `t`.
     pub fn finish(&mut self, t: SimTime) {
+        self.catch_up_all();
         for node in &mut self.nodes {
             node.finish(t);
         }
@@ -336,6 +381,24 @@ impl StorageSystem {
         c
     }
 
+    /// Replays the cut points node `i` skipped and marks it touched, so
+    /// it is in step with the timeline and drained next.
+    fn catch_up(&mut self, i: usize) {
+        self.nodes[i].accrue_through(&self.timeline[self.synced[i]..]);
+        self.synced[i] = self.timeline.len();
+        self.touched.insert(i);
+    }
+
+    /// Catches every node up and clears the timeline.
+    fn catch_up_all(&mut self) {
+        for i in 0..self.nodes.len() {
+            self.catch_up(i);
+        }
+        self.timeline.clear();
+        self.synced.fill(0);
+    }
+
+    /// Drains the touched nodes, in index order.
     fn collect(&mut self) {
         // Destructure so the sink closure can borrow the access-tracking
         // state while each node drains into it without any intermediate
@@ -345,10 +408,11 @@ impl StorageSystem {
             pending,
             op_owner,
             completions,
+            touched,
             ..
         } = self;
-        for (idx, node) in nodes.iter_mut().enumerate() {
-            node.drain_completions_with(|op, time| {
+        for idx in std::mem::take(touched).iter() {
+            nodes[idx].drain_completions_with(|op, time| {
                 let Some(access) = op_owner.remove(&(idx, op)) else {
                     debug_assert!(false, "unknown node op {op} on node {idx}");
                     return;
@@ -380,7 +444,6 @@ impl StorageSystem {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::node_set::NodeSet;
     use simkit::SimDuration;
 
     fn t(us: u64) -> SimTime {
@@ -531,6 +594,217 @@ mod tests {
                 d.energy().residency("idle"),
                 SimDuration::from_micros(20_500_000)
             );
+        }
+    }
+
+    /// The rule lazy advancing must match: every node advanced to every
+    /// cut point, then all of them drained in index order.
+    struct EagerArray {
+        layout: StripingLayout,
+        nodes: Vec<IoNode>,
+        next_access: u64,
+        pending: FxHashMap<AccessId, (usize, SimTime)>,
+        op_owner: FxHashMap<(usize, u64), AccessId>,
+        completions: Vec<AccessCompletion>,
+    }
+
+    impl EagerArray {
+        fn new(config: &StorageConfig) -> Self {
+            EagerArray {
+                layout: config.layout.clone(),
+                nodes: (0..config.layout.io_nodes())
+                    .map(|i| IoNode::new(i, &config.node).unwrap())
+                    .collect(),
+                next_access: 0,
+                pending: FxHashMap::default(),
+                op_owner: FxHashMap::default(),
+                completions: Vec::new(),
+            }
+        }
+
+        fn submit(&mut self, access: FileAccess, t: SimTime) {
+            let id = AccessId(self.next_access);
+            self.next_access += 1;
+            let (mut outstanding, mut latest) = (0, t);
+            for (node, block, _, _) in
+                self.layout
+                    .split_range(access.file, access.offset, access.len)
+            {
+                let key = (access.file, block);
+                let op = match access.kind {
+                    AccessKind::Read => self.nodes[node].submit_read(key, t, Some(id.0)),
+                    AccessKind::Write => self.nodes[node].submit_write(key, t, Some(id.0)),
+                };
+                match op {
+                    NodeOp::Hit(done) => latest = latest.max(done),
+                    NodeOp::Pending(op) => {
+                        outstanding += 1;
+                        self.op_owner.insert((node, op), id);
+                    }
+                }
+            }
+            if outstanding == 0 {
+                self.completions.push(AccessCompletion {
+                    access: id,
+                    time: latest,
+                });
+            } else {
+                self.pending.insert(id, (outstanding, latest));
+            }
+            self.collect();
+        }
+
+        fn advance_to(&mut self, t: SimTime) {
+            for node in &mut self.nodes {
+                node.advance_to(t);
+            }
+            self.collect();
+        }
+
+        fn finish(&mut self, t: SimTime) {
+            for node in &mut self.nodes {
+                node.finish(t);
+            }
+            self.collect();
+        }
+
+        fn next_event_time(&self) -> Option<SimTime> {
+            self.nodes.iter().filter_map(IoNode::next_event_time).min()
+        }
+
+        fn collect(&mut self) {
+            for (idx, node) in self.nodes.iter_mut().enumerate() {
+                for (op, time) in node.drain_completions() {
+                    let access = self.op_owner.remove(&(idx, op)).unwrap();
+                    let entry = self.pending.get_mut(&access).unwrap();
+                    entry.0 -= 1;
+                    entry.1 = entry.1.max(time);
+                    if entry.0 == 0 {
+                        let (_, time) = self.pending.remove(&access).unwrap();
+                        self.completions.push(AccessCompletion { access, time });
+                    }
+                }
+            }
+        }
+    }
+
+    /// Drives the same random reads, writes and advances through a
+    /// `StorageSystem` and an `EagerArray`, comparing each batch of
+    /// completions as it surfaces, and every disk's per-state joules (to
+    /// the bit), residency, counters and idle periods after `finish`.
+    /// `ops` are `(kind, file, offset in 32 KiB units, length in 48 KiB
+    /// units, gap in µs)`: kinds 0 and 1 read, 2 writes, 3 only advances.
+    fn lazy_matches_eager(ops: &[(u8, u32, u64, u64, u64)], policy: usize, faults: bool) {
+        let policy = match policy {
+            0 => PolicyKind::NoPm,
+            1 => PolicyKind::simple_spin_down_default(),
+            _ => PolicyKind::history_based_default(),
+        };
+        let mut config = StorageConfig::paper_defaults(policy);
+        if faults {
+            config.node.faults = Some(simkit::fault::FaultPlan::generate(
+                &simkit::fault::FaultSpec::heavy(ops.len() as u64),
+                config.layout.io_nodes(),
+                config.node.raid.disks(),
+                config.node.disk.total_sectors(),
+            ));
+        }
+        let mut lazy = StorageSystem::new(config.clone()).unwrap();
+        let mut eager = EagerArray::new(&config);
+        let mut now = SimTime::ZERO;
+        let check = |lazy: &mut StorageSystem, eager: &mut EagerArray| {
+            assert_eq!(
+                lazy.drain_completions(),
+                std::mem::take(&mut eager.completions)
+            );
+            assert_eq!(lazy.next_event_time(), eager.next_event_time());
+        };
+        for &(kind, file, offset, len, gap) in ops {
+            now += SimDuration::from_micros(gap);
+            // A submission goes ahead of storage events at its instant,
+            // as the engine's calendar orders them; an advance does not.
+            while let Some(at) = lazy
+                .next_event_time()
+                .filter(|&at| at < now || (kind == 3 && at == now))
+            {
+                lazy.advance_to(at);
+                eager.advance_to(at);
+                check(&mut lazy, &mut eager);
+            }
+            let (offset, len) = (offset * 32 * KB, len * 48 * KB);
+            match kind {
+                0 | 1 => {
+                    lazy.submit(FileAccess::read(FileId(file), offset, len), now);
+                    eager.submit(FileAccess::read(FileId(file), offset, len), now);
+                }
+                2 => {
+                    lazy.submit(FileAccess::write(FileId(file), offset, len), now);
+                    eager.submit(FileAccess::write(FileId(file), offset, len), now);
+                }
+                _ => {
+                    lazy.advance_to(now);
+                    eager.advance_to(now);
+                }
+            }
+            check(&mut lazy, &mut eager);
+        }
+        let end = now + SimDuration::from_secs(30);
+        lazy.finish(end);
+        eager.finish(end);
+        check(&mut lazy, &mut eager);
+        for (a, b) in lazy.nodes().iter().zip(&eager.nodes) {
+            assert_eq!(a.fault_counters(), b.fault_counters());
+            for (da, db) in a.disks().iter().zip(b.disks()) {
+                let states = |d: &sdds_disk::Disk| -> Vec<_> {
+                    d.energy()
+                        .iter()
+                        .map(|(s, e)| (s, e.joules.to_bits(), e.residency))
+                        .collect()
+                };
+                assert_eq!(states(da), states(db), "node {}", a.id());
+                assert_eq!(da.counters(), db.counters());
+                assert_eq!(da.idle_tracker().histogram(), db.idle_tracker().histogram());
+            }
+        }
+    }
+
+    #[test]
+    fn replays_stay_exact_across_timeline_clears() {
+        // Every third op writes or reads a stripe of node 0; the rest only
+        // advance, so the other nodes lag through several timeline clears.
+        let ops: Vec<_> = (0..3_000u64)
+            .map(|i| match i % 6 {
+                0 => (2, 0, i % 40 * 16, 1, 150_000 + i % 7 * 1_000),
+                3 => (0, 0, i % 40 * 16, 1, 150_000 + i % 7 * 1_000),
+                _ => (3, 0, 0, 1, 20_000 + i % 11 * 3_000),
+            })
+            .collect();
+        lazy_matches_eager(&ops, 2, false);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
+
+        #[test]
+        fn lazy_advance_matches_every_node_advanced(
+            ops in proptest::collection::vec(
+                (0u8..4, 0u32..3, 0u64..48, 1u64..4, 0u64..4_000_000),
+                1..120,
+            ),
+            policy in 0usize..3,
+        ) {
+            lazy_matches_eager(&ops, policy, false);
+        }
+
+        #[test]
+        fn lazy_advance_matches_every_node_advanced_under_heavy_faults(
+            ops in proptest::collection::vec(
+                (0u8..4, 0u32..3, 0u64..48, 1u64..4, 0u64..4_000_000),
+                1..120,
+            ),
+            policy in 0usize..3,
+        ) {
+            lazy_matches_eager(&ops, policy, true);
         }
     }
 
