@@ -172,13 +172,31 @@ struct ProcExec {
     /// Cursor into the process's scheduling-table entries.
     table_cursor: usize,
     /// Prefetches awaiting producer progress or buffer space
-    /// (access indices).
+    /// (access indices). The entries a walk kept are counted in
+    /// [`Engine`]'s `held`; the ones appended since are not yet.
     deferred: Vec<usize>,
+    /// Set when every entry the last walk kept waited for buffer room.
+    room_wait: Option<RoomWait>,
     phase: Phase,
     state: State,
     /// Last fully completed slot (for producer local-time checks).
     completed_slot: Option<u32>,
     finish: Option<SimTime>,
+}
+
+/// A walk over a deferred list in which every kept entry waited for
+/// buffer room. The next walk would keep the same entries for the same
+/// reason, and change nothing else, as long as the process is still
+/// before `earliest_slot` (no entry becomes synchronous), `min_len` bytes
+/// still do not fit (none fits), and `conflicts` has not moved (no other
+/// thread reserved a range the entries hold). Such a walk counts `kept`
+/// waits and walks only the entries appended after them.
+#[derive(Debug, Clone, Copy)]
+struct RoomWait {
+    kept: usize,
+    earliest_slot: u32,
+    min_len: u64,
+    conflicts: u64,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -226,6 +244,11 @@ pub struct Engine {
     /// ticket has already completed is stale and ignored when it fires.
     /// Always empty without [`EngineConfig::prefetch_timeout`].
     timeouts: EventQueue<(u64, RangeKey)>,
+    /// Per range, how many deferred-list entries kept by a walk hold it.
+    held: FxHashMap<RangeKey, u32>,
+    /// How many reservations hit a range in `held`; a [`RoomWait`] made
+    /// before the last of them is stale.
+    conflicts: u64,
     /// Reused between completion deliveries so the steady state allocates
     /// nothing.
     completion_scratch: Vec<AccessCompletion>,
@@ -270,6 +293,8 @@ impl Engine {
             timeout_slot,
             proc_slots: Vec::new(),
             timeouts: EventQueue::new(),
+            held: FxHashMap::default(),
+            conflicts: 0,
             completion_scratch: Vec::new(),
             trace: None,
         })
@@ -332,6 +357,7 @@ impl Engine {
                 io_cursor: 0,
                 table_cursor: 0,
                 deferred: Vec::new(),
+                room_wait: None,
                 phase: Phase::SlotStart,
                 state: State::Ready,
                 completed_slot: None,
@@ -717,6 +743,8 @@ impl Engine {
     ) {
         let slot = procs[p].slot;
         let now = procs[p].local_time;
+        // The entries the last walk kept, all counted in `held`.
+        let kept_before = procs[p].deferred.len();
         // Append the table entries due at this slot after the already
         // deferred prefetches, so retries (older requests) still go first.
         let entries = table.for_process(p);
@@ -734,14 +762,30 @@ impl Engine {
                 procs[p].deferred.push(e.access_index);
             }
         }
+        // When the kept entries would all wait for room again, count
+        // their waits and start the walk after them.
+        let wait = procs[p].room_wait.take().filter(|w| {
+            slot < w.earliest_slot
+                && !self.buffer.has_room(w.min_len)
+                && w.conflicts == self.conflicts
+        });
+        let (mut earliest_slot, mut min_len) = (u32::MAX, u64::MAX);
+        let mut cursor = 0;
+        if let Some(w) = wait {
+            debug_assert_eq!(w.kept, kept_before);
+            self.prefetch_stats.deferred_full += w.kept as u64;
+            (earliest_slot, min_len, cursor) = (w.earliest_slot, w.min_len, w.kept);
+        }
+        let mut only_room = true;
         // Walk the combined list, compacting in place: entries that must
         // keep waiting slide to the front, everything else is consumed.
-        let mut cursor = 0;
-        let mut kept = 0;
+        let mut kept = cursor;
         while cursor < procs[p].deferred.len() {
             let idx = procs[p].deferred[cursor];
+            let was_held = cursor < kept_before;
             cursor += 1;
             let a = &accesses[idx];
+            let key: RangeKey = (a.io.file, a.io.offset, a.io.len);
             // The original point has arrived (or passed): the application
             // will perform this access synchronously.
             if a.io.slot <= slot {
@@ -756,6 +800,9 @@ impl Engine {
                         reason: "became-sync",
                     });
                 }
+                if was_held {
+                    self.release_hold(&key);
+                }
                 continue;
             }
             // Correctness rule: data written by a remote process may only
@@ -767,18 +814,38 @@ impl Engine {
                     self.prefetch_stats.deferred_producer += 1;
                     procs[p].deferred[kept] = idx;
                     kept += 1;
+                    only_room = false;
+                    if !was_held {
+                        self.hold(key);
+                    }
                     continue;
                 }
             }
-            let key: RangeKey = (a.io.file, a.io.offset, a.io.len);
             if self.buffer.state(&key).is_some() {
-                continue; // another scheduler thread already fetched it
+                // Another scheduler thread already fetched it.
+                if was_held {
+                    self.release_hold(&key);
+                }
+                continue;
             }
             if !self.buffer.has_room(a.io.len) {
                 self.prefetch_stats.deferred_full += 1;
                 procs[p].deferred[kept] = idx;
                 kept += 1;
+                earliest_slot = earliest_slot.min(a.io.slot);
+                min_len = min_len.min(a.io.len);
+                if !was_held {
+                    self.hold(key);
+                }
                 continue;
+            }
+            if was_held {
+                self.release_hold(&key);
+            }
+            // Some other deferred list still holds this range, and its
+            // next walk must drop it: every `RoomWait` goes stale.
+            if self.held.contains_key(&key) {
+                self.conflicts += 1;
             }
             let ticket = self.enqueue(
                 FileAccess::read(a.io.file, a.io.offset, a.io.len),
@@ -802,6 +869,32 @@ impl Engine {
             }
         }
         procs[p].deferred.truncate(kept);
+        // A reservation in this walk cannot hit a range it kept: a range
+        // is kept only when its length does not fit, and the buffer only
+        // fills during a walk. So the stamp is read after the walk.
+        if kept > 0 && only_room {
+            procs[p].room_wait = Some(RoomWait {
+                kept,
+                earliest_slot,
+                min_len,
+                conflicts: self.conflicts,
+            });
+        }
+    }
+
+    /// Counts one more deferred-list entry holding `key`.
+    fn hold(&mut self, key: RangeKey) {
+        *self.held.entry(key).or_insert(0) += 1;
+    }
+
+    /// Drops one deferred-list entry's hold on `key`.
+    fn release_hold(&mut self, key: &RangeKey) {
+        if let Some(n) = self.held.get_mut(key) {
+            *n -= 1;
+            if *n == 0 {
+                self.held.remove(key);
+            }
+        }
     }
 
     /// Performs the application's original-point I/O operation `cursor` of
@@ -1119,6 +1212,72 @@ mod tests {
             prefetched += 1;
         }
         assert_eq!(prefetched, r.prefetch.issued);
+    }
+
+    /// Two processes defer the same range while the buffer is full. When
+    /// room appears, the first to walk reserves it; the other's next walk
+    /// must see the range buffered and drop its entry without counting a
+    /// wait, although the buffer is full again and its slot is still
+    /// before the range's original point.
+    #[test]
+    fn a_range_reserved_by_another_thread_is_dropped_not_counted() {
+        use sdds_compiler::ir::IoCallId;
+        use sdds_compiler::{IoInstance, ProcessTrace, ProgramTrace};
+        let read = |call, proc, offset, slot| IoInstance {
+            call: IoCallId(call),
+            file: FileId(0),
+            offset,
+            len: STRIPE,
+            direction: IoDirection::Read,
+            proc,
+            slot,
+            length: 1,
+        };
+        let (filler, shared) = (0, 16 * STRIPE);
+        let process = |proc, ios| ProcessTrace {
+            proc,
+            slots: 40,
+            compute: vec![SimDuration::from_millis(10); 40],
+            ios,
+        };
+        let trace = ProgramTrace {
+            name: "shared-range".into(),
+            processes: vec![
+                process(0, vec![read(0, 0, filler, 15), read(1, 0, shared, 30)]),
+                process(1, vec![read(2, 1, shared, 30)]),
+            ],
+            total_slots: 40,
+        };
+        let storage = StorageConfig::paper_defaults(PolicyKind::NoPm);
+        let mut accesses = analyze_slacks(&trace, &storage.layout).unwrap();
+        // Pin the schedule: process 0 prefetches the filler at slot 1,
+        // which fills the one-stripe buffer until it reads it at slot 15;
+        // both processes prefetch the shared range at slot 2.
+        for (a, slot) in accesses.iter_mut().zip([1, 2, 2]) {
+            (a.begin, a.end, a.movable) = (slot, slot, false);
+        }
+        let table = SchedulerConfig::paper_defaults()
+            .schedule(&accesses, &trace)
+            .unwrap();
+        let mut cfg = EngineConfig::paper_defaults();
+        cfg.buffer_capacity = STRIPE;
+        let r = Engine::new(cfg, storage)
+            .unwrap()
+            .run(&trace, Some(CompiledPlan::new(&accesses, &table)))
+            .unwrap();
+        // Both wait for room at slots 2..=15 (28 waits). At slot 16
+        // process 1 walks first, after process 0 consumed the filler, and
+        // reserves the shared range; process 0 then drops its entry.
+        assert_eq!(
+            (
+                r.prefetch.issued,
+                r.prefetch.deferred_full,
+                r.prefetch.became_sync
+            ),
+            (2, 28, 0),
+            "{:?}",
+            r.prefetch
+        );
     }
 
     #[test]
