@@ -120,9 +120,18 @@ impl NodeSet {
         NodeSet(self.0 & !other.0)
     }
 
-    /// Iterates over node indices in increasing order.
+    /// Iterates over node indices in increasing order, visiting only the
+    /// set bits.
     pub fn iter(self) -> impl Iterator<Item = usize> {
-        (0..Self::MAX_NODES).filter(move |&n| self.contains(n))
+        let mut bits = self.0;
+        std::iter::from_fn(move || {
+            if bits == 0 {
+                return None;
+            }
+            let n = bits.trailing_zeros() as usize;
+            bits &= bits - 1;
+            Some(n)
+        })
     }
 }
 
@@ -197,6 +206,10 @@ mod tests {
         assert_eq!(s.len(), 8);
         assert_eq!(s.iter().collect::<Vec<_>>(), (0..8).collect::<Vec<_>>());
         assert_eq!(NodeSet::all(64).len(), 64);
+        assert_eq!(NodeSet::all(64).iter().count(), 64);
+        let sparse = NodeSet::from_nodes([63, 0, 40, 17]);
+        assert_eq!(sparse.iter().collect::<Vec<_>>(), vec![0, 17, 40, 63]);
+        assert_eq!(NodeSet::EMPTY.iter().next(), None);
     }
 
     #[test]
