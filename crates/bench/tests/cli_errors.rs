@@ -189,6 +189,41 @@ fn size_flags_that_overflow_a_byte_count_are_usage_errors() {
 }
 
 #[test]
+fn a_stripe_of_more_sectors_than_a_request_covers_is_a_config_error() {
+    // 2^32 and 3 * 2^31 sectors of 512 B, which a 32-bit sector count
+    // reads as 0 (a request of no sectors) and 2^31.
+    for (stripe_kb, bytes) in [
+        ("2147483648", "2199023255552"),
+        ("3221225472", "3298534883328"),
+    ] {
+        let huge = "17592186044415";
+        let out = repro(&[
+            "headline",
+            "--procs",
+            "2",
+            "--factor",
+            "0.05",
+            "--apps",
+            "sar",
+            "--stripe-kb",
+            stripe_kb,
+            "--buffer-mb",
+            huge,
+            "--cache-mb",
+            huge,
+        ]);
+        assert_eq!(out.status.code(), Some(3), "{}", stderr(&out));
+        assert_eq!(
+            stderr(&out).trim(),
+            format!(
+                "repro: configuration rejected: invalid storage configuration: \
+                 block size {bytes} holds more than 4294967295 sectors of 512 B"
+            )
+        );
+    }
+}
+
+#[test]
 fn unknown_scene_is_rejected_before_any_scene_runs() {
     rejected(
         &["online", "--scenes", "zipfian,bogus"],

@@ -27,6 +27,14 @@ pub enum StorageError {
         /// Sector size in bytes.
         sector_bytes: u32,
     },
+    /// The RAID block holds more sectors than a disk request can cover
+    /// (`u32::MAX`).
+    BlockSectors {
+        /// Block size in bytes.
+        block_bytes: u64,
+        /// Sector size in bytes.
+        sector_bytes: u32,
+    },
     /// The member-disk count is invalid for the RAID level.
     RaidDisks {
         /// The RAID organization.
@@ -68,6 +76,14 @@ impl std::fmt::Display for StorageError {
             } => write!(
                 f,
                 "block size {block_bytes} must be a positive multiple of the sector size {sector_bytes}"
+            ),
+            StorageError::BlockSectors {
+                block_bytes,
+                sector_bytes,
+            } => write!(
+                f,
+                "block size {block_bytes} holds more than {} sectors of {sector_bytes} B",
+                u32::MAX
             ),
             StorageError::RaidDisks { level, disks } => match level {
                 RaidLevel::Single => {

@@ -63,8 +63,10 @@ impl RaidConfig {
     ///
     /// Returns [`StorageError::RaidDisks`] if the disk count is invalid
     /// for the level (RAID 5 needs at least 3 disks, RAID 10 an even count
-    /// of at least 2), and [`StorageError::BlockNotSectorMultiple`] if the
-    /// block size is not a positive multiple of the sector size.
+    /// of at least 2), [`StorageError::BlockNotSectorMultiple`] if the
+    /// block size is not a positive multiple of the sector size, and
+    /// [`StorageError::BlockSectors`] if a block holds more sectors than a
+    /// disk request can cover.
     pub fn new(
         level: RaidLevel,
         disks: usize,
@@ -82,6 +84,12 @@ impl RaidConfig {
         if sector_bytes == 0 || block_bytes == 0 || !block_bytes.is_multiple_of(sector_bytes as u64)
         {
             return Err(StorageError::BlockNotSectorMultiple {
+                block_bytes,
+                sector_bytes,
+            });
+        }
+        if block_bytes / u64::from(sector_bytes) > u64::from(u32::MAX) {
+            return Err(StorageError::BlockSectors {
                 block_bytes,
                 sector_bytes,
             });
@@ -110,7 +118,9 @@ impl RaidConfig {
     /// # Errors
     ///
     /// Returns [`StorageError::BlockNotSectorMultiple`] if the block size
-    /// is not a positive multiple of the sector size.
+    /// is not a positive multiple of the sector size, and
+    /// [`StorageError::BlockSectors`] if a block holds more sectors than a
+    /// disk request can cover.
     pub fn single(block_bytes: u64, sector_bytes: u32) -> Result<Self, StorageError> {
         RaidConfig::new(RaidLevel::Single, 1, block_bytes, sector_bytes)
     }
@@ -138,6 +148,7 @@ impl RaidConfig {
     /// Sectors per chunk (a block split evenly over the data chunks,
     /// rounded up to whole sectors).
     pub fn chunk_sectors(&self) -> u32 {
+        // `RaidConfig::new` rejects a block whose sector count overflows.
         let block_sectors = (self.block_bytes / self.sector_bytes as u64) as u32;
         block_sectors.div_ceil(self.data_chunks() as u32)
     }
@@ -312,6 +323,22 @@ mod tests {
         let r = RaidConfig::new(RaidLevel::Raid10, 4, 64 * 1024, 512).unwrap();
         let reqs = r.map_write(7);
         assert_eq!(reqs.len(), 4);
+    }
+
+    #[test]
+    fn block_sector_count_must_fit_a_request() {
+        // 2^32 and 3 * 2^31 sectors: a 32-bit count reads 0 and 2^31.
+        for block_bytes in [512 << 32, 3 * (512 << 31)] {
+            assert_eq!(
+                RaidConfig::new(RaidLevel::Raid5, 4, block_bytes, 512),
+                Err(StorageError::BlockSectors {
+                    block_bytes,
+                    sector_bytes: 512
+                })
+            );
+        }
+        let largest = RaidConfig::new(RaidLevel::Single, 1, 512 * u64::from(u32::MAX), 512);
+        assert_eq!(largest.unwrap().chunk_sectors(), u32::MAX);
     }
 
     #[test]
