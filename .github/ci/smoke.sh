@@ -158,8 +158,32 @@ EOF
     done
     ;;
 
+  bench-digests)
+    # The benchmark's header digest hashes every simulated output of a
+    # workload, so a change that keeps the simulation bit-identical keeps
+    # all four. Each workload runs for one second at seed 1 and the first
+    # line's digest must equal the committed value; update a value only
+    # with a change that means to alter simulated outputs.
+    while read -r workload digest; do
+      python3 perfbench/run.py --workload "$workload" --seed 1 \
+        --seconds 1 --trace 0 > "out/bench-$workload.txt"
+      got="$(head -n 1 "out/bench-$workload.txt" |
+        python3 -c 'import json, sys; print(json.load(sys.stdin)["digest"])')"
+      if [ "$got" != "$digest" ]; then
+        echo "$workload digest $got, expected $digest" >&2
+        exit 1
+      fi
+      echo "$workload: digest $got"
+    done <<'DIGESTS'
+paper-matrix 7802d91be4dc4cd0
+faulted-raid5 920b7670dd967095
+dc-scene-1shard 443af9883e65d36c
+dc-scene-sharded deea3c5d8192d100
+DIGESTS
+    ;;
+
   *)
-    echo "usage: smoke.sh {headline|trace|fault|online|attrib|scale|rebuild|examples}" >&2
+    echo "usage: smoke.sh {headline|trace|fault|online|attrib|scale|rebuild|examples|bench-digests}" >&2
     exit 2
     ;;
 esac
